@@ -136,10 +136,15 @@ def _trial_seed(master_seed, trial):
     return int(stream(master_seed, "starts", trial, 0).integers(0, 2**63 - 1))
 
 
-def _estimate_columns(X_samples, m, cfg: IterationConfig):
+def _estimate_columns(config: RunConfig, X_samples, iter_seed):
+    cfg = IterationConfig(
+        epsilon=config.epsilon,
+        max_iters=config.max_iters,
+        max_restarts=config.max_restarts,
+        rng_seed=iter_seed,
+    )
     oracle = EmpiricalCumulantOracle(X_samples)
-    metric = build_C(oracle)
-    return pegi_full(metric, oracle, m, cfg)
+    return pegi_full(build_C(oracle), oracle, config.m, cfg)
 
 
 def _score(B, model: GroundTruthModel, permutation, opt_db):
@@ -152,22 +157,16 @@ def _score(B, model: GroundTruthModel, permutation, opt_db):
     return float(ach_db.mean()), float(loss_db.mean())
 
 
-def run_trial(config: RunConfig, model, X_samples, algorithm, iter_seed):
+def run_trial(config: RunConfig, model, X_samples, algorithm, est=None):
     """Run one algorithm on one drawn data set; returns metric fields.
 
-    Raises the underlying error on failure; the sweep wrapper converts
-    those into status rows.
+    ``est`` is the cell's column estimate, which the ``pegi_*`` algorithms
+    share.  Raises the underlying error on failure; the sweep wrapper
+    converts those into status rows.
     """
     opt_db = np.array([to_db(s) for s in dx.optimal_sinr(model)])
     max_angle = 0.0
     if algorithm.startswith("pegi"):
-        cfg = IterationConfig(
-            epsilon=config.epsilon,
-            max_iters=config.max_iters,
-            max_restarts=config.max_restarts,
-            rng_seed=iter_seed,
-        )
-        est = _estimate_columns(X_samples, config.m, cfg)
         perm, _, angles = dx.match_columns(est.A_hat, model.A)
         max_angle = float(angles.max())
         if algorithm == "pegi_sinr":
@@ -186,15 +185,31 @@ def run_trial(config: RunConfig, model, X_samples, algorithm, iter_seed):
     return mean_db, mean_loss, max_angle
 
 
+def _attempt(fn, *args):
+    # a failure becomes a status instead of aborting the sweep
+    try:
+        return fn(*args), "ok"
+    except PartialRecoveryError:
+        return None, "partial"
+    except PegicaError:
+        return None, "error"
+
+
 def run_benchmark(config: RunConfig):
     """Execute the full sweep; returns per-trial rows plus aggregates.
 
     Per-trial failures (e.g. partial recovery on pathological data) are
-    recorded in the row's status column and never abort the sweep.  Rows
-    come back sorted by (algorithm, N, p, trial) with aggregate rows after
-    the per-trial rows of their cell.
+    recorded in the row's status column and never abort the sweep.  The
+    ``pegi_*`` algorithms of one cell share one estimate, and with it its
+    status; each of their rows counts the estimate's time in its runtime.
+    Rows come back sorted by (algorithm, N, p, trial) with aggregate rows
+    after the per-trial rows of their cell.
     """
+    def ms_since(start):
+        return (time.perf_counter() - start) * 1e3 if config.timing else 0.0
+
     rows = []
+    estimates = any(a.startswith("pegi") for a in config.algorithms)
     for trial in range(config.trials):
         seed = _trial_seed(config.seed, trial)
         panel = PANELS[config.panel](config.m)
@@ -206,23 +221,23 @@ def run_benchmark(config: RunConfig):
                     stream(config.seed, "sources", trial, ip, iN).integers(0, 2**63 - 1)
                 ))
                 X_samples = center(batch.X)
-                for algorithm in config.algorithms:
-                    start = time.perf_counter() if config.timing else None
-                    try:
-                        mean_db, mean_loss, max_angle = run_trial(
-                            config, model, X_samples, algorithm,
-                            iter_seed=seed ^ (ip << 8) ^ (iN << 4),
-                        )
-                        status = "ok"
-                    except PartialRecoveryError:
-                        mean_db = mean_loss = max_angle = float("nan")
-                        status = "partial"
-                    except PegicaError:
-                        mean_db = mean_loss = max_angle = float("nan")
-                        status = "error"
-                    elapsed_ms = (
-                        (time.perf_counter() - start) * 1e3 if config.timing else 0.0
+                est, est_status, est_ms = None, "ok", 0.0
+                if estimates:
+                    start = time.perf_counter()
+                    est, est_status = _attempt(
+                        _estimate_columns, config, X_samples, seed ^ (ip << 8) ^ (iN << 4)
                     )
+                    est_ms = ms_since(start)
+                for algorithm in config.algorithms:
+                    start = time.perf_counter()
+                    pegi = algorithm.startswith("pegi")
+                    if pegi and est is None:
+                        values, status = None, est_status
+                    else:
+                        values, status = _attempt(
+                            run_trial, config, model, X_samples, algorithm, est
+                        )
+                    mean_db, mean_loss, max_angle = values or (float("nan"),) * 3
                     rows.append(BenchmarkRow(
                         algorithm=algorithm,
                         N=N,
@@ -232,7 +247,7 @@ def run_benchmark(config: RunConfig):
                         mean_sinr_db=mean_db,
                         mean_sinr_loss_db=mean_loss,
                         max_column_angle_deg=max_angle,
-                        runtime_ms=elapsed_ms,
+                        runtime_ms=ms_since(start) + (est_ms if pegi else 0.0),
                         status=status,
                     ))
     rows.sort(key=lambda r: (r.algorithm, r.N, r.p, int(r.trial)))

@@ -12,7 +12,8 @@ cumulant oracle exposing, at a direction ``u``,
 
 plus the aggregate matrix ``C`` built from Hessians at the coordinate
 directions.  Two oracle flavours exist: empirical (plug-in moment
-estimators over a centered sample matrix) and analytic (exact values from
+estimators over a centered sample matrix, all read off moments that one
+chunked pass over the samples accumulates) and analytic (exact values from
 a known mixing matrix and source cumulants).  Because all of these are
 cumulants of order four, additive Gaussian noise of any covariance drops
 out of the analytic values and only perturbs the empirical ones through
@@ -46,6 +47,12 @@ __all__ = [
 ]
 
 
+# Bytes of pair products formed at once by the empirical oracle's pass over
+# the samples: larger chunks raise peak memory, smaller ones add per-chunk
+# overhead (the P x P accumulator is updated once per chunk).
+_CHUNK_BYTES = 1 << 20
+
+
 @dataclass(frozen=True)
 class SampleSet:
     """An N-by-n batch of observed signals with column means removed.
@@ -56,6 +63,14 @@ class SampleSet:
 
     data: np.ndarray
     is_centered: bool = True
+
+    @classmethod
+    def _trusted(cls, data):
+        # for data this module has just centered: skips the checks below
+        self = object.__new__(cls)
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "is_centered", True)
+        return self
 
     def __post_init__(self):
         data = np.atleast_2d(np.asarray(self.data))
@@ -108,7 +123,7 @@ def center(raw) -> SampleSet:
     dtype = complex if np.iscomplexobj(raw) else float
     data = raw.astype(dtype, copy=True)
     data -= data.mean(axis=0, keepdims=True)
-    return SampleSet(data=data, is_centered=True)
+    return SampleSet._trusted(data)
 
 
 def kappa4(samples):
@@ -189,15 +204,31 @@ class CumulantOracle:
         """
         return None
 
+    def source_z_score(self, column):
+        """Significance of the source a mixing column demixes, or None.
+
+        None means the oracle is exact and needs no significance test.
+        """
+        return None
+
 
 class EmpiricalCumulantOracle(CumulantOracle):
     """Plug-in moment estimators over a centered sample matrix.
 
+    The constructor makes the one pass over the samples.  It accumulates
+    the second moments and the Gram matrix ``G = E[z z^T]`` of the
+    ``P = n(n+1)/2`` pair products ``z_(i,j) = x_i x_j`` (``i <= j``), plus
+    ``K = E[z z^H]`` for complex data, in chunks of about ``_CHUNK_BYTES``
+    of pair products.  The pass costs O(N P^2) and keeps ``P^2 * 8``
+    bytes (``2 * P^2 * 16`` for complex data).  Every functional is then a
+    contraction of these moments that never touches the samples again:
+    O(P^2) per ``f``, ``fstar``, ``grad_f``, ``kurtosis_z_score`` or
+    ``source_z_score`` call, O(n P^2) per ``hess_fstar`` call.  The full
+    n^4 moment tensor is never formed.
+
     ``grad_f`` and ``hess_fstar`` are the exact derivatives of the sample
     version of ``f`` (respectively ``fstar``), so they remain consistent
-    with finite differences of ``f`` on the same data.  Each evaluation is
-    a single vectorized pass over the samples: O(Nn) for the gradient,
-    O(Nn^2) for the Hessian.
+    with finite differences of ``f`` on the same data.
     """
 
     def __init__(self, samples: SampleSet):
@@ -206,28 +237,37 @@ class EmpiricalCumulantOracle(CumulantOracle):
         if not samples.is_centered:
             raise NumericalConsistencyError("empirical oracle requires centered samples")
         self.samples = samples
-        self.dim = samples.dim
+        self.dim = n = samples.dim
         self.is_complex = samples.is_complex
-        self._second_moments = None
+        iu, ju = np.triu_indices(n)
+        self._iu, self._ju = iu, ju
+        # pair-space coefficients of v v^T: 1 on the diagonal, 2 above it
+        self._pair_weight = np.where(iu == ju, 1.0, 2.0)
+        # self._pair[i, j] is the pair index of (min(i, j), max(i, j))
+        self._pair = np.empty((n, n), dtype=np.intp)
+        self._pair[iu, ju] = self._pair[ju, iu] = np.arange(iu.size)
+        self._M, self._P, self._G, self._K = _pair_moments(samples.data, iu, ju)
+        # pseudoinverse of cov(X) = E[x x^H] = conj(M)
+        self._cov_pinv = hermitian_pinv(self._M.conj())[0]
 
-    def _project(self, u):
-        # <x_t, u> for every sample row
-        return self.samples.data @ np.conj(u)
+    # With v = conj(u) the projection is y = <x, u> = x . v, so
+    # y^2 = z . w(v) and every moment of y is a contraction of G or K.
+    def _weights(self, v):
+        return self._pair_weight * v[self._iu] * v[self._ju]
 
     def f(self, u):
-        u = self._check(u)
-        y = self._project(u)
-        value = np.mean(y**4) - 3.0 * np.mean(y**2) ** 2
+        v = np.conj(self._check(u))
+        w = self._weights(v)
+        value = w @ self._G @ w - 3.0 * (v @ self._P @ v) ** 2
         return complex(value) if self.is_complex else float(value)
 
     def fstar(self, u):
-        u = self._check(u)
-        y = self._project(u)
-        yc = np.conj(y)
+        v = np.conj(self._check(u))
+        w = self._weights(v)
         value = complex(
-            np.mean(y**2 * yc**2)
-            - 2.0 * np.mean(y * yc) ** 2
-            - np.mean(y**2) * np.mean(yc**2)
+            w @ self._K @ np.conj(w)
+            - 2.0 * (np.conj(v) @ self._M @ v) ** 2
+            - abs(v @ self._P @ v) ** 2
         )
         if abs(value.imag) > 1e-10 * (1.0 + abs(value.real)):
             raise NumericalConsistencyError(
@@ -236,46 +276,25 @@ class EmpiricalCumulantOracle(CumulantOracle):
         return value.real
 
     def grad_f(self, u):
-        u = self._check(u)
-        X = self.samples.data
-        N = self.samples.n_samples
-        y = self._project(u)
-        # one fused pass over X for both E[y^3 x] and E[y x]
-        moments = (X.T @ np.column_stack((y**3, y))) / N
-        return 4.0 * moments[:, 0] - 12.0 * np.mean(y**2) * moments[:, 1]
-
-    def _moments(self):
-        # cached second-moment matrices: M = E[conj(x) x^T], P = E[x x^T]
-        if self._second_moments is None:
-            X = self.samples.data
-            N = self.samples.n_samples
-            P = (X.T @ X) / N
-            M = (X.conj().T @ X) / N if self.is_complex else P
-            self._second_moments = (M, P)
-        return self._second_moments
+        v = np.conj(self._check(u))
+        # V = E[y^2 x x^T], so E[y^3 x] = V v and E[y x] = P v
+        V = (self._G @ self._weights(v))[self._pair]
+        Pv = self._P @ v
+        return 4.0 * (V @ v) - 12.0 * (v @ Pv) * Pv
 
     def hess_fstar(self, u):
-        u = self._check(u)
-        X = self.samples.data
-        N = self.samples.n_samples
-        y = self._project(u)
-        M, _ = self._moments()
-        if not self.is_complex:
-            e_y2xx = (X.T @ (y[:, None] ** 2 * X)) / N
-            e_yx = (X.T @ y) / N
-            H = 12.0 * (e_y2xx - np.mean(y**2) * M - 2.0 * np.outer(e_yx, e_yx))
-            return 0.5 * (H + H.T)
-        ymag2 = (y * y.conj()).real
-        Xc = X.conj()
-        e_y2xx = (Xc.T @ (ymag2[:, None] * X)) / N
-        e_y_xc = (Xc.T @ y) / N  # E[y conj(x)]
-        e_yc_xc = (Xc.T @ y.conj()) / N  # E[conj(y) conj(x)]
-        H = 4.0 * (
-            e_y2xx
-            - np.outer(e_y_xc, e_y_xc.conj())
-            - np.mean(ymag2) * M
-            - np.outer(e_yc_xc, e_yc_xc.conj())
-        )
+        v = np.conj(self._check(u))
+        n = self.dim
+        # R z = y x for every sample, so E[|y|^2 x x^H] = R K R^H
+        R = np.zeros((n, self._iu.size), dtype=np.result_type(v, self._K))
+        R[np.arange(n), self._pair] = v[:, None]
+        W = (R @ self._K @ R.conj().T).T  # E[|y|^2 conj(x) x^T]
+        a = self._M @ v  # E[y conj(x)]
+        b = np.conj(self._P @ v)  # E[conj(y) conj(x)]
+        m2 = (np.conj(v) @ a).real  # E[|y|^2]
+        H = W - np.outer(a, a.conj()) - m2 * self._M - np.outer(b, b.conj())
+        # for real data a = b and the real Hessian carries a factor 12
+        H *= 4.0 if self.is_complex else 12.0
         return 0.5 * (H + H.conj().T)
 
     def kurtosis_z_score(self, u):
@@ -287,34 +306,64 @@ class EmpiricalCumulantOracle(CumulantOracle):
         fourth-cumulant signal distinguishable from sampling noise, so a
         column candidate there is an artifact of estimation error.
         """
-        u = self._check(u)
-        y = self._project(u)
-        m2 = float(np.mean((y * np.conj(y)).real))
-        if m2 == 0.0:
+        v = np.conj(self._check(u))
+        m2 = float((np.conj(v) @ self._M @ v).real)
+        if m2 <= 0.0:
             return 0.0
         k4 = self.fstar(u) if self.is_complex else self.f(u)
         gamma = k4 / m2**2
         return float(abs(gamma) / np.sqrt(24.0 / self.samples.n_samples))
 
+    def source_z_score(self, column):
+        """Kurtosis z-score of the source that ``column`` demixes.
+
+        Scores the projection on the SINR-optimal demixing direction
+        ``cov(X)^+ column``.  Along the column itself, sources of opposite
+        kurtosis sign partially cancel whenever the mixing matrix is not
+        orthogonal, so a correct column can look Gaussian there.
+        """
+        return self.kurtosis_z_score(self._cov_pinv @ self._check(column))
+
     def build_C_matrix(self):
         """Sum of Hessians at the coordinate directions, already rescaled.
 
         Equals ``(1/12) sum_k hess(e_k)`` for real data and
-        ``(1/4) sum_k hess_fstar(e_k)`` for complex data, evaluated in a
-        single pass instead of n Hessian calls.
+        ``(1/4) sum_k hess_fstar(e_k)`` for complex data, read off the
+        accumulated moments instead of n Hessian calls.
         """
-        X = self.samples.data
-        N = self.samples.n_samples
-        M, P = self._moments()
-        if not self.is_complex:
-            row_norm2 = np.einsum("ti,ti->t", X, X)
-            t1 = (X.T @ (row_norm2[:, None] * X)) / N
-            C = t1 - np.trace(M) * M - 2.0 * (M @ M)
-            return 0.5 * (C + C.T)
-        row_norm2 = np.einsum("ti,ti->t", X.conj(), X).real
-        t1 = (X.conj().T @ (row_norm2[:, None] * X)) / N
+        M, P, pair = self._M, self._P, self._pair
+        # E[|x|^2 conj(x_i) x_j] = sum_k K[pair(k, j), pair(k, i)]
+        t1 = self._K[pair[:, :, None], pair[:, None, :]].sum(axis=0).T
         C = t1 - M @ M - np.trace(M) * M - P.conj() @ P
         return 0.5 * (C + C.conj().T)
+
+
+def _pair_moments(X, iu, ju):
+    """One chunked pass over centered samples ``X``.
+
+    Returns ``M = E[conj(x) x^T]``, ``P = E[x x^T]``, ``G = E[z z^T]`` and
+    ``K = E[z z^H]`` for the pair products ``z = x[iu] * x[ju]``; for real
+    data ``P`` is ``M`` and ``K`` is ``G``.
+    """
+    N, n = X.shape
+    cplx = np.iscomplexobj(X)
+    rows = max(1, _CHUNK_BYTES // (iu.size * X.itemsize))
+    M = np.zeros((n, n), dtype=X.dtype)
+    G = np.zeros((iu.size, iu.size), dtype=X.dtype)
+    P, K = (np.zeros_like(M), np.zeros_like(G)) if cplx else (M, G)
+    for start in range(0, N, rows):
+        xt = X[start:start + rows].T.copy()  # contiguous rows gather fast
+        z = xt[iu]
+        z *= xt[ju]
+        G += z @ z.T
+        if cplx:
+            M += xt.conj() @ xt.T
+            P += xt @ xt.T
+            K += z @ z.conj().T
+        else:
+            M += xt @ xt.T
+    M, G = M / N, G / N
+    return (M, P / N, G, K / N) if cplx else (M, M, G, G)
 
 
 class AnalyticCumulantOracle(CumulantOracle):

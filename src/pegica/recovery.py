@@ -278,10 +278,12 @@ def pegi_full(metric: PseudoMetric, oracle: CumulantOracle, m,
     row.  Each column gets up to ``cfg.max_restarts`` fresh starts; a
     start is abandoned on non-convergence, a degenerate gradient, an
     ill-conditioned row estimate, or (for empirical oracles) a converged
-    direction whose kurtosis is statistically indistinguishable from
-    Gaussian sampling noise (``cfg.min_kurtosis_z`` standard errors) —
-    the empirical landscape has such spurious fixed points when a source
-    is Gaussian or its fourth cumulant sits below the noise floor.
+    column whose source — the projection on the SINR-optimal demixing
+    direction ``cov(X)^+ column`` — has a kurtosis statistically
+    indistinguishable from Gaussian sampling noise (``cfg.min_kurtosis_z``
+    standard errors).  The empirical landscape has such spurious fixed
+    points when a source is Gaussian or its fourth cumulant sits below
+    the noise floor.
 
     Raises
     ------
@@ -313,7 +315,7 @@ def pegi_full(metric: PseudoMetric, oracle: CumulantOracle, m,
             except (ConvergenceError, DegenerateDirectionError, IllConditionedRowError):
                 continue
             if cfg.min_kurtosis_z > 0:
-                z = oracle.kurtosis_z_score(column)
+                z = oracle.source_z_score(column)
                 if z is not None and z < cfg.min_kurtosis_z:
                     continue
             est.add(column, row)

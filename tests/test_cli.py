@@ -66,6 +66,12 @@ class TestEstimate:
         meta = read_keyvalues(est / "estimate.txt")
         assert meta["status"] == "ok" and meta["columns_found"] == "4"
 
+    def test_large_column_means(self, sim_dir, tmp_path):
+        shifted = tmp_path / "shifted.csv"
+        write_matrix_csv(shifted, parse_matrix_csv(sim_dir / "X.csv") + 1e3)
+        code = run_cli("estimate", shifted, "--m", 4, "--seed", 1, "--out", tmp_path / "est")
+        assert code == 0
+
     def test_zero_m_is_usage_error(self, sim_dir, tmp_path):
         code = run_cli("estimate", sim_dir / "X.csv", "--m", 0, "--out", tmp_path / "e")
         assert code == 2

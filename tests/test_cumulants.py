@@ -47,6 +47,12 @@ class TestCenter:
         col_std = out.data.std(axis=0)
         assert np.all(np.abs(out.data.mean(axis=0)) <= 1e-12 * (col_std + 1.0))
 
+    def test_large_column_means(self):
+        # rounding in the subtraction leaves more than a re-check would allow
+        raw = np.random.default_rng(0).standard_normal((100_000, 4)) + 1e3
+        out = center(raw)
+        np.testing.assert_allclose(out.data, raw - raw.mean(axis=0), rtol=0, atol=1e-12)
+
     def test_sampleset_rejects_uncentered_claim(self):
         with pytest.raises(NumericalConsistencyError):
             SampleSet(data=np.array([[1.0], [2.0], [3.0]]), is_centered=True)
