@@ -54,7 +54,6 @@ from .simulate import (
     make_model,
     noise_cov,
     random_mixing,
-    sample_source,
     source_spec,
     stream,
 )

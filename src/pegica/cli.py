@@ -119,6 +119,16 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
+def _write_estimate(outdir, est, m, status):
+    write_matrix_csv(outdir / "A_hat.csv", est.A_hat)
+    write_matrix_csv(outdir / "B_hat.csv", est.B_hat)
+    write_keyvalues(outdir / "estimate.txt", {
+        "m": m,
+        "columns_found": est.columns_found,
+        "status": status,
+    })
+
+
 def cmd_estimate(args):
     if args.m < 1:
         print("error: --m must be a positive integer", file=sys.stderr)
@@ -144,23 +154,10 @@ def cmd_estimate(args):
     try:
         est = pegi_full(metric, oracle, args.m, cfg)
     except PartialRecoveryError as exc:
-        est = exc.estimate
-        write_matrix_csv(outdir / "A_hat.csv", est.A_hat)
-        write_matrix_csv(outdir / "B_hat.csv", est.B_hat)
-        write_keyvalues(outdir / "estimate.txt", {
-            "m": args.m,
-            "columns_found": est.columns_found,
-            "status": "partial",
-        })
+        _write_estimate(outdir, exc.estimate, args.m, "partial")
         print(f"partial recovery: {exc}", file=sys.stderr)
         return EXIT_PARTIAL
-    write_matrix_csv(outdir / "A_hat.csv", est.A_hat)
-    write_matrix_csv(outdir / "B_hat.csv", est.B_hat)
-    write_keyvalues(outdir / "estimate.txt", {
-        "m": args.m,
-        "columns_found": est.columns_found,
-        "status": "ok",
-    })
+    _write_estimate(outdir, est, args.m, "ok")
     print(f"recovered {est.columns_found}/{args.m} columns -> {outdir / 'A_hat.csv'}")
     return EXIT_OK
 

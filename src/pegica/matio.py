@@ -4,14 +4,19 @@ Matrix CSV format
 -----------------
 The first non-comment line is a header ``rows,cols,field`` with ``field``
 in {``real``, ``complex``}; each following line holds one comma-separated
-matrix row.  Lines starting with ``#`` are comments.  Values are written
-with Python's shortest round-trippable decimal repr, so write/parse is
-lossless for finite values; complex entries use the ``re+imj`` form.
+matrix row.  ``#`` starts a comment that runs to the end of the line, and
+blank lines are skipped.  Values are written with Python's shortest
+round-trippable decimal repr, so write/parse is lossless, negative zero
+included; nan reads back without its sign or payload.  Complex entries
+use the ``re+imj`` form.
 
 Tables are ordinary CSV with a header row of column names; all cells are
 kept as strings on read.  Config and model metadata use flat
 ``key=value`` lines with ``#`` comments; list values are comma separated.
 """
+
+import math
+import warnings
 
 import numpy as np
 
@@ -32,10 +37,14 @@ __all__ = [
 def format_value(v):
     """Shortest round-trippable decimal form; complex as ``re+imj``."""
     if isinstance(v, complex) or np.iscomplexobj(v):
-        v = complex(v)
-        sign = "+" if (v.imag >= 0 or np.isnan(v.imag)) else "-"
-        return f"{v.real!r}{sign}{abs(v.imag)!r}j"
+        return _format_complex(complex(v))
     return repr(float(v))
+
+
+def _format_complex(v):
+    # copysign keeps the sign of a negative-zero imaginary part; nan keeps "+"
+    sign = "-" if math.copysign(1.0, v.imag) < 0 and not math.isnan(v.imag) else "+"
+    return f"{v.real!r}{sign}{abs(v.imag)!r}j"
 
 
 def parse_value(text, complex_field=False):
@@ -46,17 +55,31 @@ def parse_value(text, complex_field=False):
         raise MatrixFormatError(f"non-numeric cell {text!r}") from None
 
 
+# Rows converted to Python scalars at a time, so writing needs O(block) memory
+_WRITE_BLOCK_ROWS = 4096
+
+
 def write_matrix_csv(path, M):
     """Write a 2-D array in the matrix CSV format described above."""
     M = np.atleast_2d(np.asarray(M))
     if M.ndim != 2:
         raise MatrixFormatError("only 2-D matrices are supported")
-    field = "complex" if np.iscomplexobj(M) else "real"
+    if np.iscomplexobj(M):
+        field, M, fmt = "complex", M.astype(complex, copy=False), _format_complex
+    else:
+        # repr of a Python float is exactly format_value of that float
+        field, M, fmt = "real", M.astype(float, copy=False), repr
     rows, cols = M.shape
     with open(path, "w") as fh:
         fh.write(f"{rows},{cols},{field}\n")
-        for r in range(rows):
-            fh.write(",".join(format_value(v) for v in M[r]) + "\n")
+        for start in range(0, rows, _WRITE_BLOCK_ROWS):
+            block = M[start:start + _WRITE_BLOCK_ROWS].tolist()
+            fh.writelines([",".join(map(fmt, row)) + "\n" for row in block])
+
+
+def _data(line):
+    """A line's content without its ``#`` comment and surrounding blanks."""
+    return line.split("#", 1)[0].strip()
 
 
 def parse_matrix_csv(path):
@@ -66,26 +89,51 @@ def parse_matrix_csv(path):
     row (and column) for ragged rows or non-numeric cells.
     """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise MatrixFormatError(f"{path}: empty matrix file")
-    header = lines[0].split(",")
-    if len(header) != 3:
+        header = ""
+        while not header:
+            line = fh.readline()
+            if not line:
+                raise MatrixFormatError(f"{path}: empty matrix file")
+            header = _data(line)
+        rows, cols, dtype = _parse_header(path, header)
+        body_start = fh.tell()
+        if rows > 0:
+            # numpy's C reader parses correctly rounded, like float()/complex()
+            try:
+                with warnings.catch_warnings():
+                    # a body without data is reported below, not as a warning
+                    warnings.simplefilter("ignore", UserWarning)
+                    out = np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=2)
+            except ValueError:
+                out = None
+            if out is not None and out.shape == (rows, cols):
+                return out
+        # the per-cell scan names the row and column of whatever loadtxt refused
+        fh.seek(body_start)
+        return _scan_body(path, fh, rows, cols, dtype)
+
+
+def _parse_header(path, header):
+    fields = header.split(",")
+    if len(fields) != 3:
         raise MatrixFormatError(f"{path}: header must be 'rows,cols,field'")
     try:
-        rows, cols = int(header[0]), int(header[1])
+        rows, cols = int(fields[0]), int(fields[1])
     except ValueError:
         raise MatrixFormatError(f"{path}: non-integer dimensions in header") from None
-    field = header[2].strip()
+    field = fields[2].strip()
     if field not in ("real", "complex"):
         raise MatrixFormatError(f"{path}: unknown field {field!r}")
-    body = lines[1:]
+    return rows, cols, complex if field == "complex" else float
+
+
+def _scan_body(path, fh, rows, cols, dtype):
+    body = [ln for ln in map(_data, fh) if ln]
     if len(body) != rows:
         raise MatrixFormatError(
             f"{path}: header promises {rows} rows, file has {len(body)}"
         )
-    out = np.empty((rows, cols), dtype=complex if field == "complex" else float)
+    out = np.empty((rows, cols), dtype=dtype)
     for r, line in enumerate(body, start=1):
         cells = line.split(",")
         if len(cells) != cols:
@@ -94,7 +142,7 @@ def parse_matrix_csv(path):
             )
         for c, cell in enumerate(cells, start=1):
             try:
-                out[r - 1, c - 1] = parse_value(cell, field == "complex")
+                out[r - 1, c - 1] = parse_value(cell, dtype is complex)
             except MatrixFormatError as exc:
                 raise MatrixFormatError(f"{path}: row {r}, column {c}: {exc}") from None
     return out

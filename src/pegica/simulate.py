@@ -28,7 +28,6 @@ __all__ = [
     "stream",
     "random_mixing",
     "noise_cov",
-    "sample_source",
     "default_source_panel",
     "finite_kurtosis_panel",
     "make_model",
@@ -130,11 +129,6 @@ def source_spec(text) -> SourceSpec:
         family, arg = text[:-1].split("(", 1)
         return SourceSpec(family=family.strip(), param=float(arg))
     return SourceSpec(family=text)
-
-
-def sample_source(spec: SourceSpec, count, rng):
-    """Functional alias for ``spec.sample(count, rng)``."""
-    return spec.sample(count, rng)
 
 
 _PAPER_FAMILIES = (

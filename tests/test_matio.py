@@ -1,7 +1,14 @@
 """Matrix/table/key-value file round trips and parse diagnostics."""
 
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from pegica.errors import MatrixFormatError
 from pegica.matio import (
@@ -24,6 +31,14 @@ class TestValueFormatting:
     def test_complex_round_trip(self):
         for v in (1.5 + 2.5j, -0.1 - 0.2j, 3.0 + 0.0j, 0.0 - 1e-30j):
             assert parse_value(format_value(v), complex_field=True) == v
+
+    def test_negative_zero_keeps_its_sign(self):
+        for v in (-0.0, complex(1.0, -0.0), complex(-0.0, -0.0)):
+            back = complex(parse_value(format_value(v), complex_field=True))
+            v = complex(v)
+            assert back == v
+            assert np.signbit(back.real) == np.signbit(v.real)
+            assert np.signbit(back.imag) == np.signbit(v.imag)
 
     def test_non_numeric_rejected(self):
         with pytest.raises(MatrixFormatError):
@@ -76,11 +91,119 @@ class TestMatrixRoundTrip:
         with pytest.raises(MatrixFormatError, match="promises 3 rows"):
             parse_matrix_csv(path)
 
+    def test_missing_body_rejected_without_warning(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("2,2,real\n# no data\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MatrixFormatError, match="promises 2 rows, file has 0"):
+                parse_matrix_csv(path)
+
+    def test_empty_cell_names_row_and_column(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,3,real\n1.0,,3.0\n")
+        with pytest.raises(MatrixFormatError, match="row 1, column 2: non-numeric cell ''"):
+            parse_matrix_csv(path)
+
+    def test_every_row_one_cell_short_names_row_1(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("2,3,real\n1.0,2.0\n3.0,4.0\n")
+        with pytest.raises(MatrixFormatError, match="row 1 has 2 cells, expected 3"):
+            parse_matrix_csv(path)
+
+    def test_trailing_comments_ignored(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("2,2,complex # shape\n1.0+2.0j,3.0 # first row\n  \n4.0,5.0-0.0j\n")
+        back = parse_matrix_csv(path)
+        np.testing.assert_array_equal(back, [[1 + 2j, 3], [4, 5]])
+        assert np.signbit(back[1, 1].imag)
+
+    def test_slow_scan_strips_comments_too(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("2,2,real\n1.0,2.0 # ok\n3.0,x # bad\n")
+        with pytest.raises(MatrixFormatError, match="row 2, column 2: non-numeric cell 'x'"):
+            parse_matrix_csv(path)
+
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1,1,quaternion\n1.0\n")
         with pytest.raises(MatrixFormatError, match="quaternion"):
             parse_matrix_csv(path)
+
+
+def reference_matrix_csv(M):
+    """The matrix CSV text, formatted cell by cell with ``format_value``."""
+    M = np.atleast_2d(np.asarray(M))
+    field = "complex" if np.iscomplexobj(M) else "real"
+    lines = [f"{M.shape[0]},{M.shape[1]},{field}"]
+    lines += [",".join(format_value(v) for v in row) for row in M]
+    return "".join(line + "\n" for line in lines)
+
+
+def assert_same_bits(back, M):
+    """Equal values, nan where nan, and the same sign bits elsewhere."""
+    assert back.shape == M.shape and back.dtype == M.dtype
+    parts = (lambda a: a.real, lambda a: a.imag) if np.iscomplexobj(M) else (lambda a: a,)
+    for part in parts:
+        got, want = part(back), part(M)
+        np.testing.assert_array_equal(got, want)
+        numbers = ~np.isnan(want)
+        np.testing.assert_array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))
+
+
+SPECIAL_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.2250738585072014e-308 / 3, np.inf, -np.inf, np.nan]
+)
+FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True), SPECIAL_FLOATS)
+SHAPES = array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6)
+
+
+class TestMatrixFileProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.float64, SHAPES, elements=FLOATS))
+    def test_real_round_trip_bit_for_bit(self, M):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            write_matrix_csv(path, M)
+            assert_same_bits(parse_matrix_csv(path), M)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_complex_round_trip_bit_for_bit(self, data):
+        shape = data.draw(SHAPES)
+        M = np.empty(shape, dtype=complex)
+        M.real = data.draw(arrays(np.float64, shape, elements=FLOATS))
+        M.imag = data.draw(arrays(np.float64, shape, elements=FLOATS))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            write_matrix_csv(path, M)
+            assert_same_bits(parse_matrix_csv(path), M)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (5, 1), (1, 5)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_edge_shapes_round_trip_without_warnings(self, tmp_path, rng, shape, dtype):
+        M = rng.standard_normal(shape).astype(dtype)
+        path = tmp_path / "m.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_matrix_csv(path, M)
+            back = parse_matrix_csv(path)
+        assert_same_bits(back, M)
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: rng.standard_normal((5000, 3)) * 10.0 ** rng.integers(-300, 300, (5000, 3)),
+        lambda rng: rng.standard_normal((7, 4)).astype(np.float32),
+        lambda rng: rng.integers(-5, 5, (6, 2)),
+        lambda rng: np.array([[-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324]]),
+        lambda rng: rng.standard_normal((4500, 2)) + 1j * rng.standard_normal((4500, 2)),
+        lambda rng: np.array([[complex(-0.0, 0.0), complex(np.nan, -np.inf), 1j]]),
+        lambda rng: rng.standard_normal(4),
+    ])
+    def test_bytes_equal_per_cell_reference(self, tmp_path, rng, make):
+        M = make(rng)
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, M)
+        assert path.read_text() == reference_matrix_csv(M)
 
 
 class TestTables:
