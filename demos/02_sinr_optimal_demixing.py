@@ -14,7 +14,7 @@ per-source SINR:
 import numpy as np
 
 from pegica import (
-    EmpiricalCumulantOracle,
+    CumulantOracle,
     IterationConfig,
     analytic_cov,
     build_C,
@@ -56,7 +56,7 @@ print(f"SINR-optimal:    mean SINR loss {report.mean_sinr_loss_db:.3f} dB")
 print("\n-- estimated mixing matrix (400k samples) --")
 batch = draw_batch(model, 400_000, seed=5)
 samples = center(batch.X)
-emp = EmpiricalCumulantOracle(samples)
+emp = CumulantOracle(samples)
 est = pegi_full(build_C(emp), emp, model.m, IterationConfig(epsilon=1e-6, rng_seed=3))
 perm, _, angles = match_columns(est.A_hat, model.A)
 print(f"column estimation error: max {angles.max():.2f} degrees")

@@ -11,8 +11,7 @@ reports the phase each recovered column needs to line up with the truth.
 import numpy as np
 
 from pegica import (
-    AnalyticCumulantOracle,
-    EmpiricalCumulantOracle,
+    CumulantOracle,
     IterationConfig,
     build_C,
     center,
@@ -28,8 +27,8 @@ model = make_model(n=4, m=4, cond=3.0, noise_power=0.1,
                    complex_phases=True)
 print("mixing matrix is complex:", model.is_complex)
 
-print("\n-- analytic oracle --")
-oracle = AnalyticCumulantOracle.from_model(model)
+print("\n-- model-built oracle --")
+oracle = CumulantOracle.from_model(model)
 est = pegi_full(build_C(oracle), oracle, 4, IterationConfig(epsilon=1e-10, rng_seed=2))
 perm, phases, angles = match_columns(est.A_hat, model.A)
 print(f"max column angle: {angles.max():.2e} degrees")
@@ -37,9 +36,9 @@ print("aligning phases (unit modulus):")
 for j, ph in enumerate(phases):
     print(f"  column {j} -> true column {perm[j]}: phase {ph:.4f} (|.|={abs(ph):.6f})")
 
-print("\n-- empirical, 300k samples --")
+print("\n-- sample-built, 300k samples --")
 batch = draw_batch(model, 300_000, seed=14)
-emp = EmpiricalCumulantOracle(center(batch.X))
+emp = CumulantOracle(center(batch.X))
 est = pegi_full(build_C(emp), emp, 4, IterationConfig(epsilon=1e-6, rng_seed=2))
 perm, phases, angles = match_columns(est.A_hat, model.A)
 print("per-column angle errors (degrees):", np.round(angles, 3))

@@ -9,15 +9,11 @@ simulation and benchmark harness.
 
 from .benchmark import BenchmarkRow, RunConfig, run_benchmark
 from .cumulants import (
-    AnalyticCumulantOracle,
     CumulantOracle,
-    EmpiricalCumulantOracle,
     PseudoMetric,
     SampleSet,
     build_C,
     center,
-    kappa4,
-    kappa4_star,
 )
 from .demix import (
     DemixMatrix,

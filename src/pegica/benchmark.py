@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import demix as dx
-from .cumulants import EmpiricalCumulantOracle, build_C, center
+from .cumulants import CumulantOracle, build_C, center
 from .errors import PartialRecoveryError, PegicaError
 from .linalg import to_db
 from .matio import read_table, write_table
@@ -143,7 +143,7 @@ def _estimate_columns(config: RunConfig, X_samples, iter_seed):
         max_restarts=config.max_restarts,
         rng_seed=iter_seed,
     )
-    oracle = EmpiricalCumulantOracle(X_samples)
+    oracle = CumulantOracle(X_samples)
     return pegi_full(build_C(oracle), oracle, config.m, cfg)
 
 

@@ -32,7 +32,7 @@ from .benchmark import (
     summarize,
     write_benchmark_csv,
 )
-from .cumulants import EmpiricalCumulantOracle, build_C, center
+from .cumulants import CumulantOracle, build_C, center
 from .errors import (
     ConvergenceError,
     MatrixFormatError,
@@ -40,7 +40,6 @@ from .errors import (
     NumericalConsistencyError,
     PartialRecoveryError,
     PegicaError,
-    RankDeficiencyWarning,
 )
 from .linalg import to_db
 from .matio import (
@@ -139,7 +138,7 @@ def cmd_estimate(args):
     if args.m > samples.dim:
         print(f"error: m={args.m} exceeds data dimension {samples.dim}", file=sys.stderr)
         return EXIT_USAGE
-    oracle = EmpiricalCumulantOracle(samples)
+    oracle = CumulantOracle(samples)
     metric = build_C(oracle)
     if metric.rank < args.m:
         print(
@@ -173,6 +172,15 @@ def cmd_demix(args):
             file=sys.stderr,
         )
         return EXIT_USAGE
+    # estimate writes the columns a partial recovery missed as zeros
+    missing = np.flatnonzero(~np.any(A_hat, axis=0))
+    if missing.size:
+        print(
+            f"error: estimate columns {', '.join(map(str, missing))} are all zero "
+            "(partial recovery); no demixer written",
+            file=sys.stderr,
+        )
+        return EXIT_PARTIAL
     samples = center(X)
     if args.mode == "sinr_opt":
         cov = dx.sample_cov(samples)

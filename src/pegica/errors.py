@@ -63,6 +63,3 @@ class PartialRecoveryError(PegicaError):
 class MatrixFormatError(PegicaError, ValueError):
     """A matrix/table file does not follow the documented CSV format."""
 
-
-class RankDeficiencyWarning(UserWarning):
-    """The estimated metric matrix has lower numeric rank than expected."""

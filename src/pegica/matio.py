@@ -97,7 +97,7 @@ def parse_matrix_csv(path):
             header = _data(line)
         rows, cols, dtype = _parse_header(path, header)
         body_start = fh.tell()
-        if rows > 0:
+        if rows > 0 and cols > 0:
             # numpy's C reader parses correctly rounded, like float()/complex()
             try:
                 with warnings.catch_warnings():
@@ -129,7 +129,9 @@ def _parse_header(path, header):
 
 def _scan_body(path, fh, rows, cols, dtype):
     body = [ln for ln in map(_data, fh) if ln]
-    if len(body) != rows:
+    # a zero-column matrix has blank rows, skipped with the rest; any data
+    # line there fails the cell count below
+    if cols and len(body) != rows:
         raise MatrixFormatError(
             f"{path}: header promises {rows} rows, file has {len(body)}"
         )

@@ -51,7 +51,7 @@ class IterationConfig:
 
     ``epsilon`` is the convergence threshold on the phase-invariant
     distance between consecutive unit iterates.  1e-9 suits noise-free
-    analytic oracles; something like 1e-6 is a better default under
+    model-built oracles; something like 1e-6 is a better default under
     sampling error, where chasing tighter residuals just fits noise.
     Cubic convergence keeps iteration counts small, so ``max_iters`` is a
     safety net rather than a tuning knob.
@@ -277,7 +277,7 @@ def pegi_full(metric: PseudoMetric, oracle: CumulantOracle, m,
     column at a time, pairing every found column with its pseudoinverse
     row.  Each column gets up to ``cfg.max_restarts`` fresh starts; a
     start is abandoned on non-convergence, a degenerate gradient, an
-    ill-conditioned row estimate, or (for empirical oracles) a converged
+    ill-conditioned row estimate, or (for sample-built oracles) a converged
     column whose source — the projection on the SINR-optimal demixing
     direction ``cov(X)^+ column`` — has a kurtosis statistically
     indistinguishable from Gaussian sampling noise (``cfg.min_kurtosis_z``

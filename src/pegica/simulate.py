@@ -170,8 +170,9 @@ def default_source_panel(n_dims):
 
 def finite_kurtosis_panel(n_dims):
     """Like :func:`default_source_panel` but skipping student_t(3), so every
-    source has a closed-form fourth cumulant and the analytic oracle
-    applies.  The mix still contains both signs of kurtosis."""
+    source has a closed-form fourth cumulant and
+    :meth:`~pegica.cumulants.CumulantOracle.from_model` applies.  The mix
+    still contains both signs of kurtosis."""
     if n_dims < 1:
         raise ValueError("n_dims must be positive")
     return _cycle(_FINITE_K4_FAMILIES, n_dims)

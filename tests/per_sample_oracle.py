@@ -1,19 +1,20 @@
 """Reference cumulant oracle: the per-sample plug-in formulas.
 
 Every evaluation makes its own vectorized pass over the samples: O(Nn) for
-``f`` and ``grad_f``, O(Nn^2) for the Hessian.  ``EmpiricalCumulantOracle``
-computes the same statistics by contracting moments accumulated in one
-pass; the equivalence tests compare the two.
+``f`` and ``grad_f``, O(Nn^2) for the Hessian.  ``CumulantOracle`` computes
+the same statistics by contracting a cumulant tensor accumulated in one
+pass; the equivalence tests compare the two.  Nothing here is shared with
+the code it checks.
 """
 
 import numpy as np
 
-from pegica import CumulantOracle, SampleSet, center
-from pegica.errors import NumericalConsistencyError
+from pegica import SampleSet, center
+from pegica.errors import DimensionMismatchError, NumericalConsistencyError
 from pegica.linalg import hermitian_pinv
 
 
-class PerSampleOracle(CumulantOracle):
+class PerSampleOracle:
     """Plug-in moment estimators, one pass over the samples per call."""
 
     def __init__(self, samples: SampleSet):
@@ -25,6 +26,14 @@ class PerSampleOracle(CumulantOracle):
         self.dim = samples.dim
         self.is_complex = samples.is_complex
         self._second_moments = None
+
+    def _check(self, u):
+        u = np.asarray(u).ravel()
+        if u.shape != (self.dim,):
+            raise DimensionMismatchError(
+                f"direction has shape {u.shape}, oracle dimension is {self.dim}"
+            )
+        return u
 
     def _project(self, u):
         # <x_t, u> for every sample row

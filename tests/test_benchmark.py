@@ -5,7 +5,7 @@ import pytest
 
 import pegica.benchmark as benchmark
 from pegica import (
-    EmpiricalCumulantOracle,
+    CumulantOracle,
     GroundTruthModel,
     IterationConfig,
     build_C,
@@ -166,7 +166,7 @@ class TestSharedEstimate:
                                  Sigma=noise_cov(A, p), noise_power=p)
         batch = draw_batch(model, cfg.samples[0], seed=int(
             stream(cfg.seed, "sources", 0, 0, 0).integers(0, 2**63 - 1)))
-        oracle = EmpiricalCumulantOracle(center(batch.X))
+        oracle = CumulantOracle(center(batch.X))
         est = pegi_full(build_C(oracle), oracle, cfg.m, IterationConfig(
             epsilon=cfg.epsilon, max_iters=cfg.max_iters, max_restarts=cfg.max_restarts,
             rng_seed=int(rows["pegi_sinr"].seed)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pegica import (
-    EmpiricalCumulantOracle,
+    CumulantOracle,
     IterationConfig,
     build_C,
     center,
@@ -151,6 +151,17 @@ class TestDemix:
         code = run_cli("demix", sim_dir / "X.csv", bad, "--out", tmp_path / "d")
         assert code == 2
 
+    def test_partial_estimate_is_refused(self, tmp_path, rng, capsys):
+        gauss = tmp_path / "gauss.csv"
+        write_matrix_csv(gauss, rng.standard_normal((20000, 3)))
+        est = tmp_path / "est"
+        assert run_cli("estimate", gauss, "--m", 3, "--out", est) == 5
+        dem = tmp_path / "dem"
+        code = run_cli("demix", gauss, est / "A_hat.csv", "--out", dem)
+        assert code == 5
+        assert "columns 0, 1, 2 are all zero" in capsys.readouterr().err
+        assert not (dem / "S_hat.csv").exists()
+
     def test_pipeline_coherence_with_library(self, sim_dir, tmp_path):
         # CLI estimate+demix equals the in-process composition bit-for-bit
         # modulo CSV round-tripping (which is lossless)
@@ -163,7 +174,7 @@ class TestDemix:
 
         X = parse_matrix_csv(sim_dir / "X.csv")
         samples = center(X)
-        oracle = EmpiricalCumulantOracle(samples)
+        oracle = CumulantOracle(samples)
         est_lib = pegi_full(build_C(oracle), oracle, 4,
                             IterationConfig(epsilon=1e-6, rng_seed=1))
         B = sinr_optimal_demix(est_lib.A_hat, sample_cov(samples)).B

@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 from pegica import (
-    AnalyticCumulantOracle,
-    EmpiricalCumulantOracle,
+    CumulantOracle,
     SampleSet,
     build_C,
     center,
     draw_batch,
-    kappa4,
-    kappa4_star,
 )
 from pegica.errors import (
     DimensionMismatchError,
@@ -58,6 +55,15 @@ class TestCenter:
             SampleSet(data=np.array([[1.0], [2.0], [3.0]]), is_centered=True)
 
 
+def kappa4(x):
+    # f at the only direction of a one-column sample-built oracle
+    return CumulantOracle(center(x[:, None])).f(1)
+
+
+def kappa4_star(x):
+    return CumulantOracle(center(x[:, None])).fstar(1)
+
+
 class TestKappa4:
     def test_gaussian_vanishes(self, rng):
         x = rng.standard_normal(1_000_000)
@@ -81,10 +87,6 @@ class TestKappa4:
         y -= y.mean()
         lhs = kappa4(x + y)
         assert abs(lhs - kappa4(x) - kappa4(y)) < 0.1
-
-    def test_needs_four_samples(self):
-        with pytest.raises(InsufficientDataError):
-            kappa4(np.array([1.0, -1.0, 0.5]))
 
 
 class TestKappa4Star:
@@ -116,7 +118,7 @@ class TestKappa4Star:
 
 def _identity_oracle(k4):
     m = len(k4)
-    return AnalyticCumulantOracle(np.eye(m), np.asarray(k4, dtype=float))
+    return CumulantOracle.from_mixing(np.eye(m), np.asarray(k4, dtype=float))
 
 
 class TestAnalyticOracle:
@@ -146,8 +148,8 @@ class TestAnalyticOracle:
     def test_noise_covariance_never_enters(self):
         model_a = make_test_model(n=5, noise_power=0.0, seed=3)
         model_b = make_test_model(n=5, noise_power=0.9, seed=3)
-        oa = AnalyticCumulantOracle.from_model(model_a)
-        ob = AnalyticCumulantOracle.from_model(model_b)
+        oa = CumulantOracle.from_model(model_a)
+        ob = CumulantOracle.from_model(model_b)
         u = np.linspace(-1, 1, 5)
         np.testing.assert_array_equal(oa.grad_f(u), ob.grad_f(u))
         np.testing.assert_array_equal(oa.hess_fstar(u), ob.hess_fstar(u))
@@ -158,7 +160,7 @@ class TestAnalyticOracle:
         model = make_model(n=4, sources=default_source_panel(4), seed=0)
         assert model.sources[3].label == "student_t(3)"
         with pytest.raises(ValueError, match="closed-form"):
-            AnalyticCumulantOracle.from_model(model)
+            CumulantOracle.from_model(model)
 
     def test_dimension_mismatch(self):
         oracle = _identity_oracle([3.0, 3.0])
@@ -170,13 +172,13 @@ class TestEmpiricalOracle:
     def test_requires_centered_samples(self, rng):
         samples = SampleSet(rng.standard_normal((100, 2)), is_centered=False)
         with pytest.raises(NumericalConsistencyError):
-            EmpiricalCumulantOracle(samples)
+            CumulantOracle(samples)
 
     def test_matches_analytic_at_large_n(self):
         model = make_test_model(n=5, cond=1.0, noise_power=0.1, seed=7, moderate=True)
         batch = draw_batch(model, 1_000_000, seed=99)
-        emp = EmpiricalCumulantOracle(center(batch.X))
-        ana = AnalyticCumulantOracle.from_model(model)
+        emp = CumulantOracle(center(batch.X))
+        ana = CumulantOracle.from_model(model)
         u = np.array([0.3, -0.5, 0.2, 0.7, -0.1])
         u /= np.linalg.norm(u)
         assert emp.f(u) == pytest.approx(ana.f(u), abs=0.05)
@@ -188,20 +190,20 @@ class TestEmpiricalOracle:
 
     def test_gradient_vanishes_on_pure_gaussian(self, rng):
         X = rng.standard_normal((1_000_000, 3))
-        emp = EmpiricalCumulantOracle(center(X))
+        emp = CumulantOracle(center(X))
         u = np.array([0.6, -0.64, 0.48])
         assert np.all(np.abs(emp.grad_f(u)) < 0.05)
 
     def test_hessian_small_on_pure_gaussian(self, rng):
         X = rng.standard_normal((1_000_000, 3))
-        emp = EmpiricalCumulantOracle(center(X))
+        emp = CumulantOracle(center(X))
         H = emp.hess_fstar(np.array([1.0, 0.0, 0.0]))
         assert np.max(np.abs(H)) < 0.1
 
     def test_gradient_matches_finite_differences_real(self, rng):
         model = make_test_model(n=4, noise_power=0.2, seed=1)
         batch = draw_batch(model, 50_000, seed=5)
-        emp = EmpiricalCumulantOracle(center(batch.X))
+        emp = CumulantOracle(center(batch.X))
         for _ in range(5):
             u = rng.standard_normal(4)
             u /= np.linalg.norm(u)
@@ -212,7 +214,7 @@ class TestEmpiricalOracle:
     def test_gradient_matches_finite_differences_complex(self, rng):
         model = make_test_model(n=3, noise_power=0.1, seed=2, complex_phases=True)
         batch = draw_batch(model, 30_000, seed=6)
-        emp = EmpiricalCumulantOracle(center(batch.X))
+        emp = CumulantOracle(center(batch.X))
         assert emp.is_complex
         u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         u /= np.linalg.norm(u)
@@ -223,7 +225,7 @@ class TestEmpiricalOracle:
     def test_hessian_matches_jacobian_of_gradient_real(self, rng):
         model = make_test_model(n=3, noise_power=0.0, seed=4)
         batch = draw_batch(model, 20_000, seed=8)
-        emp = EmpiricalCumulantOracle(center(batch.X))
+        emp = CumulantOracle(center(batch.X))
         u = rng.standard_normal(3)
         u /= np.linalg.norm(u)
         H = emp.hess_fstar(u)
@@ -236,8 +238,8 @@ class TestEmpiricalOracle:
         model2 = make_test_model(n=4, noise_power=0.5, seed=11)
         b1 = draw_batch(model1, 1_000_000, seed=21)
         b2 = draw_batch(model2, 1_000_000, seed=22)
-        e1 = EmpiricalCumulantOracle(center(b1.X))
-        e2 = EmpiricalCumulantOracle(center(b2.X))
+        e1 = CumulantOracle(center(b1.X))
+        e2 = CumulantOracle(center(b2.X))
         u = np.array([0.5, 0.5, -0.5, 0.5])
         g1, g2 = e1.grad_f(u), e2.grad_f(u)
         assert np.linalg.norm(g1 - g2) <= 0.05 * max(np.linalg.norm(g1), np.linalg.norm(g2))
@@ -255,7 +257,7 @@ class TestBuildC:
         model = make_test_model(n=6, seed=9)
         k4 = [s.kappa4_closed_form for s in model.sources]
         assert min(k4) < 0 < max(k4)
-        metric = build_C(AnalyticCumulantOracle.from_model(model))
+        metric = build_C(CumulantOracle.from_model(model))
         eigvals = np.linalg.eigvalsh(metric.C)
         assert eigvals.min() < -1e-6 and eigvals.max() > 1e-6
 
@@ -267,7 +269,7 @@ class TestBuildC:
 
     def test_structural_identity(self):
         model = make_test_model(n=5, seed=13)
-        metric = build_C(AnalyticCumulantOracle.from_model(model))
+        metric = build_C(CumulantOracle.from_model(model))
         A = model.A
         d = np.linalg.norm(A, axis=0) ** 2 * np.array(
             [s.kappa4_closed_form for s in model.sources]
@@ -277,7 +279,7 @@ class TestBuildC:
 
     def test_moore_penrose_identities(self):
         model = make_test_model(n=6, seed=15)
-        metric = build_C(AnalyticCumulantOracle.from_model(model))
+        metric = build_C(CumulantOracle.from_model(model))
         C, P = metric.C, metric.C_pinv
         scale = np.linalg.norm(C)
         assert np.linalg.norm(C @ P @ C - C) <= 1e-8 * scale
@@ -288,26 +290,26 @@ class TestBuildC:
     def test_empirical_matches_analytic(self):
         model = make_test_model(n=4, noise_power=0.1, seed=17, moderate=True)
         batch = draw_batch(model, 500_000, seed=31)
-        C_emp = build_C(EmpiricalCumulantOracle(center(batch.X))).C
-        C_ana = build_C(AnalyticCumulantOracle.from_model(model)).C
+        C_emp = build_C(CumulantOracle(center(batch.X))).C
+        C_ana = build_C(CumulantOracle.from_model(model)).C
         assert np.linalg.norm(C_emp - C_ana) <= 0.05 * np.linalg.norm(C_ana)
 
     def test_empirical_equals_sum_of_coordinate_hessians(self, rng):
         # the one-pass construction must agree with n explicit Hessian calls
         X = rng.standard_normal((5000, 3)) ** 3
-        emp = EmpiricalCumulantOracle(center(X))
+        emp = CumulantOracle(center(X))
         expected = sum(emp.hess_fstar(e) for e in np.eye(3)) / 12.0
         np.testing.assert_allclose(emp.build_C_matrix(), expected, atol=1e-10)
 
     def test_empirical_complex_equals_sum_of_coordinate_hessians(self, rng):
         Z = rng.standard_normal((4000, 3)) ** 3 + 1j * rng.standard_normal((4000, 3))
-        emp = EmpiricalCumulantOracle(center(Z))
+        emp = CumulantOracle(center(Z))
         expected = sum(emp.hess_fstar(e) for e in np.eye(3).astype(complex)) / 4.0
         np.testing.assert_allclose(emp.build_C_matrix(), expected, atol=1e-10)
 
     def test_pseudo_inner_product_orthogonalizes_columns(self):
         model = make_test_model(n=5, seed=19)
-        metric = build_C(AnalyticCumulantOracle.from_model(model))
+        metric = build_C(CumulantOracle.from_model(model))
         A = model.A
         d = np.linalg.norm(A, axis=0) ** 2 * np.array(
             [s.kappa4_closed_form for s in model.sources]
@@ -315,13 +317,15 @@ class TestBuildC:
         for k in range(5):
             for j in range(5):
                 expected = 1.0 / d[k] if j == k else 0.0
-                assert metric.inner(A[:, k], A[:, j]) == pytest.approx(expected, abs=1e-9)
+                inner = A[:, k] @ metric.C_pinv @ np.conj(A[:, j])
+                assert inner == pytest.approx(expected, abs=1e-9)
 
     def test_complex_structure(self):
         model = make_test_model(n=4, seed=23, complex_phases=True)
-        oracle = AnalyticCumulantOracle.from_model(model)
-        metric = build_C(oracle)
+        metric = build_C(CumulantOracle.from_model(model))
         A = model.A
-        d = np.linalg.norm(A, axis=0) ** 2 * oracle.k4_star
+        d = np.linalg.norm(A, axis=0) ** 2 * np.array(
+            [s.kappa4_closed_form for s in model.sources]
+        )
         expected = (A.conj() * d) @ A.T
         assert np.linalg.norm(metric.C - expected) <= 1e-10 * np.linalg.norm(expected)

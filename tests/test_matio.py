@@ -179,7 +179,7 @@ class TestMatrixFileProperties:
             write_matrix_csv(path, M)
             assert_same_bits(parse_matrix_csv(path), M)
 
-    @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (5, 1), (1, 5)])
+    @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (5, 1), (1, 5), (3, 0)])
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_edge_shapes_round_trip_without_warnings(self, tmp_path, rng, shape, dtype):
         M = rng.standard_normal(shape).astype(dtype)

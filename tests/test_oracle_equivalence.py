@@ -1,16 +1,18 @@
-"""The one-pass oracle against the per-sample reference formulas.
+"""The cumulant oracle against reference formulas that share no code with it.
 
-Both compute the same plug-in statistics of the same samples, in a
-different order of floating-point operations.  Every functional must agree
-to ``RTOL`` relative to the reference's largest magnitude; observed
-differences stay below 1e-13.
+A sample-built oracle and the per-sample reference compute the same plug-in
+statistics of the same samples, in a different order of floating-point
+operations.  A model-built oracle and the closed forms below compute the
+same exact cumulants of a known mixture.  Every functional must agree to
+``RTOL`` relative to the reference's largest magnitude; observed
+differences stay below 1e-11 (the largest at N = 2).
 """
 
 import numpy as np
 import pytest
 
 from pegica import (
-    EmpiricalCumulantOracle,
+    CumulantOracle,
     IterationConfig,
     build_C,
     center,
@@ -42,7 +44,7 @@ def _assert_close(value, reference):
 def _oracles(N, complex_field):
     model = make_test_model(n=N_DIM, noise_power=0.1, seed=41, complex_phases=complex_field)
     samples = center(draw_batch(model, N, seed=42).X)
-    return EmpiricalCumulantOracle(samples), PerSampleOracle(samples)
+    return CumulantOracle(samples), PerSampleOracle(samples)
 
 
 # N = 2 (the smallest sample), below one chunk, and one row past two chunks
@@ -73,3 +75,70 @@ def test_pegi_full_matches_reference_estimate(complex_field):
     perm, _, angles = match_columns(est.A_hat, ref.A_hat)
     assert list(perm) == list(range(N_DIM))
     assert np.max(angles) <= 1e-6  # degrees
+
+
+class ClosedFormOracle:
+    """Exact functionals of ``X = A S + noise``, written per source.
+
+    With ``z = A^T conj(u)``: ``f = sum k4 z^4``, ``fstar = sum k4* |z|^4``,
+    ``grad_f = 4 A (z^3 k4)``, the Hessian ``12 A diag(z^2 k4) A^T`` (real)
+    or ``4 conj(A) diag(|z|^2 k4*) A^T`` (complex), and
+    ``C = A diag(||a||^2 k4) A^T`` (a conjugate on the left factor and
+    ``k4*`` for complex data).
+    """
+
+    def __init__(self, A, k4, k4_star):
+        self.A, self.k4, self.k4_star = A, k4, k4_star
+        self.is_complex = np.iscomplexobj(A) or np.iscomplexobj(k4)
+
+    def _coords(self, u):
+        return self.A.T @ np.conj(u)
+
+    def f(self, u):
+        value = np.sum(self._coords(u) ** 4 * self.k4)
+        return complex(value) if self.is_complex else float(value.real)
+
+    def fstar(self, u):
+        return float(np.sum(np.abs(self._coords(u)) ** 4 * self.k4_star))
+
+    def grad_f(self, u):
+        z = self._coords(u)
+        g = 4.0 * (self.A @ (z**3 * self.k4))
+        return g if self.is_complex else g.real
+
+    def hess_fstar(self, u):
+        z = self._coords(u)
+        if not self.is_complex:
+            return (self.A * (12.0 * z.real**2 * self.k4)) @ self.A.T
+        return (self.A.conj() * (4.0 * np.abs(z) ** 2 * self.k4_star)) @ self.A.T
+
+    def build_C_matrix(self):
+        col_norm2 = np.einsum("ij,ij->j", self.A.conj(), self.A).real
+        if not self.is_complex:
+            return (self.A * (col_norm2 * self.k4)) @ self.A.T
+        return (self.A.conj() * (col_norm2 * self.k4_star)) @ self.A.T
+
+
+@pytest.mark.parametrize("case", ["real", "complex", "complex_k4_star"])
+def test_model_built_functionals_match_closed_forms(case, rng):
+    model = make_test_model(n=N_DIM, seed=43, complex_phases=case != "real")
+    k4 = np.array([s.kappa4_closed_form for s in model.sources])
+    if case == "complex_k4_star":
+        # complex plain cumulants of rotated sources; k4* keeps the modulus
+        k4_star = k4 * rng.uniform(0.5, 1.5, k4.size)
+        k4 = k4 * np.exp(1j * rng.uniform(0, 2 * np.pi, k4.size))
+        oracle = CumulantOracle.from_mixing(model.A, k4, k4_star)
+    else:
+        k4_star = k4
+        oracle = CumulantOracle.from_mixing(model.A, k4)
+    reference = ClosedFormOracle(model.A, k4, k4_star)
+    assert oracle.is_complex == reference.is_complex == (case != "real")
+    _assert_close(oracle.build_C_matrix(), reference.build_C_matrix())
+    for _ in range(4):
+        u = rng.standard_normal(N_DIM)
+        if oracle.is_complex:
+            u = u + 1j * rng.standard_normal(N_DIM)
+        for name in ("f", "fstar", "grad_f", "hess_fstar"):
+            _assert_close(getattr(oracle, name)(u), getattr(reference, name)(u))
+        assert oracle.kurtosis_z_score(u) is None
+        assert oracle.source_z_score(u) is None
