@@ -23,6 +23,8 @@ for real data.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,10 +44,22 @@ __all__ = [
 ]
 
 
-# Bytes of pair products formed at once by the oracle's pass over the
-# samples: larger chunks raise peak memory, smaller ones add per-chunk
-# overhead (the P x P accumulator is updated once per chunk).
-_CHUNK_BYTES = 1 << 20
+# The oracle's pass over the samples forms one chunk's pair products at a
+# time, in a P x rows buffer reused across chunks.  Every chunk costs a
+# fixed number of numpy and BLAS calls and one add of its block products
+# into the accumulator, so chunks are sized in rows from P: the buffer is
+# held to about 2 MB (873 rows at n=24, 7281 at n=8), because it adds to
+# the peak memory of the pass one for one (4 MB buffers built n=24 about
+# 5% faster and raised the peak by 1.4%), but never to fewer than 256
+# rows, below which the per-chunk work outgrows the products (1 MB chunks
+# of 111 rows spent about a fifth of the n=48 pass on accumulator adds).
+_BUFFER_BYTES = 2 << 20
+_MIN_ROWS = 256
+
+
+def _chunk_rows(n_pairs, itemsize):
+    """Samples per chunk of the moment pass over ``n_pairs`` pair products."""
+    return max(_MIN_ROWS, _BUFFER_BYTES // (n_pairs * itemsize))
 
 
 @dataclass(frozen=True)
@@ -54,6 +68,17 @@ class SampleSet:
 
     ``data`` is never mutated after construction; build instances through
     :func:`center`.
+
+    With ``is_centered=True`` every column mean (real and imaginary parts
+    apart) must be no larger than what float64 rounding of a centering can
+    leave: ``1e-12 * (std + 1) + 4 * sqrt(N) * g``.  Data centered by
+    subtracting an offset ``m`` lie on the float64 grid of ``m`` (about
+    ``2.2e-16 * |m|``), and summing N of them leaves a mean error of about
+    ``sqrt(N)`` grid steps.  ``g`` is that grid, read from the data as the
+    coarsest power of two dividing every entry of the column, and counted
+    as at most ``2**-26 * std``: a column whose grid is coarser than that
+    has lost the resolution its statistics need, so a leftover mean there
+    is an offset, not rounding.
     """
 
     data: np.ndarray
@@ -77,9 +102,14 @@ class SampleSet:
                 f"need at least 2 samples, got {data.shape[0]}"
             )
         if self.is_centered:
-            col_std = data.std(axis=0)
-            residue = np.abs(data.mean(axis=0))
-            if np.any(residue > 1e-12 * (col_std + 1.0)):
+            parts = data
+            if np.iscomplexobj(data):
+                parts = np.concatenate([data.real, data.imag], axis=1)
+            parts = parts.astype(float, copy=False)
+            col_std = parts.std(axis=0)
+            grid = np.minimum(_rounding_grid(parts), 2.0**-26 * col_std)
+            tol = 1e-12 * (col_std + 1.0) + 4.0 * np.sqrt(data.shape[0]) * grid
+            if np.any(np.abs(parts.mean(axis=0)) > tol):
                 raise NumericalConsistencyError(
                     "samples marked centered but column means are not zero"
                 )
@@ -95,6 +125,17 @@ class SampleSet:
     @property
     def is_complex(self):
         return np.iscomplexobj(self.data)
+
+
+def _rounding_grid(parts):
+    # per column, the coarsest power of two dividing every finite nonzero
+    # entry: the lowest set bit of each 53-bit mantissa, scaled back
+    finite = np.isfinite(parts)
+    mant, exp = np.frexp(np.where(finite, parts, 0.0))
+    bits = np.ldexp(mant, 53).astype(np.int64)
+    step = np.ldexp((bits & -bits).astype(float), exp - 53)
+    step[(parts == 0) | ~finite] = np.inf
+    return step.min(axis=0)
 
 
 def center(raw) -> SampleSet:
@@ -132,7 +173,8 @@ class CumulantOracle:
     z-score call, O(n P^2) per ``hess_fstar`` call.
 
     ``CumulantOracle(samples)`` builds the tensors from the moments of one
-    chunked pass over the samples (O(N P^2) work); ``grad_f`` and
+    chunked pass over the samples (at most ``N P(P+1)/2`` multiply-adds,
+    fewer from n=24 on: see :func:`_pair_layout`); ``grad_f`` and
     ``hess_fstar`` are then the exact derivatives of the sample ``f``
     (respectively ``fstar``).  :meth:`from_mixing` and :meth:`from_model`
     build them exactly from a mixing matrix and the source cumulants; those
@@ -146,7 +188,7 @@ class CumulantOracle:
             raise NumericalConsistencyError("cumulant oracle requires centered samples")
         self.samples = samples
         self._index_pairs(samples.dim, samples.is_complex)
-        M, P, G, K = _pair_moments(samples.data, self._iu, self._ju)
+        M, P, G, K = _pair_moments(samples.data)
         S = M.conj()  # cov(X) = E[x x^H]
         self._M = M
         self._cov_pinv = hermitian_pinv(S)[0]
@@ -334,32 +376,137 @@ class CumulantOracle:
 EmpiricalCumulantOracle = CumulantOracle
 
 
-def _pair_moments(X, iu, ju):
+class _PairLayout(NamedTuple):
+    groups: tuple  # (j0, j1, first buffer row) per group of middle indices
+    products: tuple  # (left rows, right rows, accumulator slice) per GEMM
+    size: int  # accumulator length
+    order: np.ndarray  # buffer row of each pair, in np.triu_indices order
+    gather: np.ndarray  # (P, P) accumulator index of each entry of G
+
+
+def _group_edges(n):
+    # cut points of the middle index: one group below n=24, then groups of
+    # 12 to 23 indices.  Narrower groups repeat fewer moments but make
+    # thinner GEMMs, which OpenBLAS on 2 cores ran at a fraction of the
+    # syrk's rate.  Timed at n = 2..48, no narrower width beat these by more
+    # than the run-to-run spread from n=12 on; below n=12 narrow groups won
+    # in some runs and lost in others, as the BLAS threaded the small
+    # products or not.
+    count = max(1, n // 12)
+    return [round(k * n / count) for k in range(count + 1)]
+
+
+def _quad_key(i, j, k, l, n):
+    # index of the sorted quadruple of the pairs (i <= j) and (k <= l)
+    inner_lo, inner_hi = np.maximum(i, k), np.minimum(j, l)
+    a, d = np.minimum(i, k), np.maximum(j, l)
+    b, c = np.minimum(inner_lo, inner_hi), np.maximum(inner_lo, inner_hi)
+    return ((a * n + b) * n + c) * n + d
+
+
+@lru_cache(maxsize=4)
+def _pair_layout(n):
+    """Where ``_pair_moments`` computes each distinct fourth moment.
+
+    The middle index ``j`` of the pairs ``(i, j)``, ``i <= j``, is cut into
+    groups ``[j0, j1)`` (:func:`_group_edges`).  The buffer holds group
+    after group; inside a group come the pairs with ``i < j0`` (``i``-major,
+    ``j1 - j0`` of them per ``i``), then those with ``j0 <= i``.  A sorted
+    quadruple ``i <= j <= k <= l`` is the product of the left pair
+    ``(i, j)``, in the group ``b`` of ``j``, and the right pair ``(k, l)``,
+    in the group ``c >= b`` of ``l``, with ``k >= j0(b)``; in group ``c``
+    the pairs whose first index is at least ``j0(b)`` form a contiguous
+    tail.  So one GEMM of group ``b`` against that tail of each group
+    ``c >= b`` covers every quadruple whose middle index ``j`` lies in
+    group ``b``, and all of them together hold each of the ``C(n+3, 4)``
+    distinct moments.  Quadruples with ``j`` and ``k`` in one group come
+    out more than once; ``gather`` reads every entry of ``G`` from the
+    first product holding its sorted quadruple, so equal moments are
+    bitwise equal.  With a single group the one product is ``z z^T``,
+    which numpy computes as a syrk.
+    """
+    edges = _group_edges(n)
+    pair_i, pair_j, groups = [], [], []
+    for j0, j1 in zip(edges[:-1], edges[1:]):
+        groups.append((j0, j1, len(pair_i)))
+        for i in range(j1):
+            for j in range(max(i, j0), j1):
+                pair_i.append(i)
+                pair_j.append(j)
+    pair_i, pair_j = np.array(pair_i), np.array(pair_j)
+    ends = [first for _, _, first in groups[1:]] + [pair_i.size]
+    products, keys, size = [], [], 0
+    for b, (j0, _, first) in enumerate(groups):
+        left = slice(first, ends[b])
+        for (c0, c1, tail), end in zip(groups[b:], ends[b:]):
+            right = slice(tail + j0 * (c1 - c0), end)
+            keys.append(_quad_key(pair_i[left, None], pair_j[left, None],
+                                  pair_i[right], pair_j[right], n).ravel())
+            products.append((left, right, slice(size, size + keys[-1].size)))
+            size += keys[-1].size
+    distinct, first_seen = np.unique(np.concatenate(keys), return_index=True)
+    iu, ju = np.triu_indices(n)
+    gather = np.empty((iu.size, iu.size), dtype=np.int32 if size < 2**31 else np.intp)
+    for lo in range(0, iu.size, 64):  # 64 rows at a time bounds the temporaries
+        part = slice(lo, lo + 64)
+        key = _quad_key(iu[part, None], ju[part, None], iu, ju, n)
+        gather[part] = first_seen[np.searchsorted(distinct, key)]
+    row = np.empty((n, n), dtype=np.intp)
+    row[pair_i, pair_j] = np.arange(pair_i.size)
+    order = row[iu, ju]
+    order.flags.writeable = gather.flags.writeable = False
+    return _PairLayout(tuple(groups), tuple(products), size, order, gather)
+
+
+def _pair_moments(X):
     """One chunked pass over centered samples ``X``.
 
     Returns ``M = E[conj(x) x^T]``, ``P = E[x x^T]``, ``G = E[z z^T]`` and
-    ``K = E[z z^H]`` for the pair products ``z = x[iu] * x[ju]``; for real
-    data ``P`` is ``M`` and ``K`` is ``G``.
+    ``K = E[z z^H]`` for the pair products ``z = x[iu] * x[ju]``,
+    ``iu, ju = np.triu_indices(n)``; for real data ``P`` is ``M`` and ``K``
+    is ``G``.  Each chunk's pair products are formed once, by broadcasting
+    one row index against a run of others, in the block layout of
+    :func:`_pair_layout`; ``G`` (real or complex alike) is accumulated as
+    the layout's block products and expanded once at the end.
     """
     N, n = X.shape
     cplx = np.iscomplexobj(X)
-    rows = max(1, _CHUNK_BYTES // (iu.size * X.itemsize))
+    layout = _pair_layout(n)
+    n_pairs = layout.order.size
+    rows = min(N, _chunk_rows(n_pairs, X.itemsize))
+    xt = np.empty((n, rows), dtype=X.dtype)
+    z = np.empty((n_pairs, rows), dtype=X.dtype)
+    block = np.empty(max(part.stop - part.start for _, _, part in layout.products),
+                     dtype=X.dtype)
+    acc = np.zeros(layout.size, dtype=X.dtype)
     M = np.zeros((n, n), dtype=X.dtype)
-    G = np.zeros((iu.size, iu.size), dtype=X.dtype)
-    P, K = (np.zeros_like(M), np.zeros_like(G)) if cplx else (M, G)
+    P, K = (np.zeros_like(M), np.zeros((n_pairs, n_pairs), X.dtype)) if cplx else (M, None)
     for start in range(0, N, rows):
-        xt = X[start:start + rows].T.copy()  # contiguous rows gather fast
-        z = xt[iu]
-        z *= xt[ju]
-        G += z @ z.T
+        x = xt[:, :min(rows, N - start)]
+        np.copyto(x, X[start:start + x.shape[1]].T)
+        zc = z[:, :x.shape[1]]
+        for j0, j1, first in layout.groups:
+            row = first + j0 * (j1 - j0)
+            np.multiply(x[:j0, None], x[None, j0:j1],
+                        out=zc[first:row].reshape(j0, j1 - j0, x.shape[1]))
+            for i in range(j0, j1):
+                np.multiply(x[i], x[i:j1], out=zc[row:row + j1 - i])
+                row += j1 - i
+        for left, right, part in layout.products:
+            out = block[:part.stop - part.start].reshape(left.stop - left.start, -1)
+            np.matmul(zc[left], zc[right].T, out=out)
+            acc[part] += out.ravel()
         if cplx:
-            M += xt.conj() @ xt.T
-            P += xt @ xt.T
-            K += z @ z.conj().T
+            M += x.conj() @ x.T
+            P += x @ x.T
+            K += zc @ zc.conj().T
         else:
-            M += xt @ xt.T
-    M, G = M / N, G / N
-    return (M, P / N, G, K / N) if cplx else (M, M, G, G)
+            M += x @ x.T
+    M, G = M / N, acc[layout.gather]
+    G /= N
+    if not cplx:
+        return M, M, G, G
+    return M, P / N, G, K[np.ix_(layout.order, layout.order)] / N
 
 
 @dataclass(frozen=True)

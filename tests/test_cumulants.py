@@ -10,6 +10,7 @@ from pegica import (
     center,
     draw_batch,
 )
+from pegica.cumulants import _chunk_rows, _pair_moments
 from pegica.errors import (
     DimensionMismatchError,
     InsufficientDataError,
@@ -53,6 +54,25 @@ class TestCenter:
     def test_sampleset_rejects_uncentered_claim(self):
         with pytest.raises(NumericalConsistencyError):
             SampleSet(data=np.array([[1.0], [2.0], [3.0]]), is_centered=True)
+
+    @pytest.mark.parametrize("offset", [1e3, 1e4, 1e5, 1e6])
+    @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+    def test_sampleset_accepts_data_centered_from_large_means(self, offset, complex_field):
+        # subtracting a mean of 1e3 leaves about 1.4e-11 of rounding behind
+        rng = np.random.default_rng(1)
+        raw = rng.standard_normal((100_000, 4)) + offset
+        if complex_field:
+            raw = raw + 1j * (rng.standard_normal((100_000, 4)) - offset * np.arange(1, 5))
+        samples = SampleSet(raw - raw.mean(axis=0), is_centered=True)
+        assert samples.n_samples == 100_000
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_sampleset_rejects_a_small_real_offset(self, offset):
+        raw = np.random.default_rng(2).standard_normal((100_000, 4)) + offset
+        data = raw - raw.mean(axis=0)
+        data[:, 2] += 1e-6 * data[:, 2].std()
+        with pytest.raises(NumericalConsistencyError):
+            SampleSet(data, is_centered=True)
 
 
 def kappa4(x):
@@ -329,3 +349,59 @@ class TestBuildC:
         )
         expected = (A.conj() * d) @ A.T
         assert np.linalg.norm(metric.C - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def _dense_moments(X):
+    N = X.shape[0]
+    iu, ju = np.triu_indices(X.shape[1])
+    z = X[:, iu] * X[:, ju]
+    return X.conj().T @ X / N, X.T @ X / N, z.T @ z / N, z.T @ z.conj() / N
+
+
+def _sorted_quadruples(n):
+    iu, ju = np.triu_indices(n)
+    quads = np.sort(np.stack(np.broadcast_arrays(
+        iu[:, None], ju[:, None], iu[None, :], ju[None, :])), axis=0)
+    return np.ravel_multi_index(tuple(quads), (n,) * 4).ravel()
+
+
+def _samples(N, n, complex_field, seed=5):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((N, n))
+    return X + 1j * rng.standard_normal((N, n)) if complex_field else X
+
+
+class TestPairMoments:
+    """The one-pass moment kernel against dense products of the same data.
+
+    n=24 cuts the middle index into two groups of 12, n=37 into groups of
+    12, 13 and 12 (and its complex chunks sit at the 256-row floor); N sits
+    on and around the chunk boundary.
+    """
+
+    @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("edge", ["two", "rows_minus_one", "rows", "two_rows_plus_one"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 24, 37])
+    def test_matches_dense_products(self, n, edge, complex_field):
+        rows = _chunk_rows(n * (n + 1) // 2, 16 if complex_field else 8)
+        N = {"two": 2, "rows_minus_one": rows - 1, "rows": rows,
+             "two_rows_plus_one": 2 * rows + 1}[edge]
+        X = _samples(N, n, complex_field)
+        # relative to the moments of |x|, which bound every sum's terms
+        scales = _dense_moments(np.abs(X))
+        for value, reference, scale in zip(_pair_moments(X), _dense_moments(X), scales):
+            assert value.shape == reference.shape
+            assert np.max(np.abs(value - reference)) <= 1e-13 * np.max(scale)
+
+    @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [5, 24, 37])
+    def test_equal_moments_are_bitwise_equal(self, n, complex_field):
+        G = _pair_moments(_samples(3001, n, complex_field))[2].ravel()
+        _, first, which = np.unique(_sorted_quadruples(n), return_index=True, return_inverse=True)
+        assert np.array_equal(G, G[first[which]])
+
+    @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+    def test_rebuild_is_bitwise_identical(self, complex_field):
+        X = _samples(5000, 24, complex_field)
+        for first, second in zip(_pair_moments(X), _pair_moments(X.copy())):
+            assert np.array_equal(first, second)

@@ -20,7 +20,7 @@ from pegica import (
     match_columns,
     pegi_full,
 )
-from pegica.cumulants import _CHUNK_BYTES
+from pegica.cumulants import _chunk_rows
 from conftest import make_test_model
 from per_sample_oracle import PerSampleOracle
 
@@ -29,9 +29,9 @@ N_DIM = 5
 FUNCTIONALS = ("f", "fstar", "grad_f", "hess_fstar", "kurtosis_z_score", "source_z_score")
 
 
-def _chunk_rows(complex_field):
-    pairs = N_DIM * (N_DIM + 1) // 2
-    return _CHUNK_BYTES // (pairs * (16 if complex_field else 8))
+def _rows_per_chunk(complex_field):
+    # the moment pass's own chunk rule, so N straddles its chunk boundaries
+    return _chunk_rows(N_DIM * (N_DIM + 1) // 2, 16 if complex_field else 8)
 
 
 def _assert_close(value, reference):
@@ -51,7 +51,7 @@ def _oracles(N, complex_field):
 @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("edge", ["two", "below_chunk", "chunks_plus_one"])
 def test_functionals_match_per_sample_formulas(edge, complex_field, rng):
-    rows = _chunk_rows(complex_field)
+    rows = _rows_per_chunk(complex_field)
     N = {"two": 2, "below_chunk": rows // 3, "chunks_plus_one": 2 * rows + 1}[edge]
     oracle, reference = _oracles(N, complex_field)
     assert oracle.is_complex == complex_field
