@@ -78,7 +78,10 @@ class SampleSet:
     coarsest power of two dividing every entry of the column, and counted
     as at most ``2**-26 * std``: a column whose grid is coarser than that
     has lost the resolution its statistics need, so a leftover mean there
-    is an offset, not rounding.
+    is an offset, not rounding.  The gate therefore accepts a mean of at
+    most ``1e-12 * (std + 1) + 6e-8 * sqrt(N) * std``, which grows with N:
+    about ``2e-5 * std`` at N=1e5 and ``6e-4 * std`` at N=1e8, for a
+    column whose grid is that coarse (quantized or integer-valued data).
     """
 
     data: np.ndarray
@@ -102,17 +105,18 @@ class SampleSet:
                 f"need at least 2 samples, got {data.shape[0]}"
             )
         if self.is_centered:
-            parts = data
-            if np.iscomplexobj(data):
-                parts = np.concatenate([data.real, data.imag], axis=1)
-            parts = parts.astype(float, copy=False)
-            col_std = parts.std(axis=0)
-            grid = np.minimum(_rounding_grid(parts), 2.0**-26 * col_std)
-            tol = 1e-12 * (col_std + 1.0) + 4.0 * np.sqrt(data.shape[0]) * grid
-            if np.any(np.abs(parts.mean(axis=0)) > tol):
-                raise NumericalConsistencyError(
-                    "samples marked centered but column means are not zero"
-                )
+            root_n = np.sqrt(data.shape[0])
+            for part in (data.real, data.imag) if np.iscomplexobj(data) else (data,):
+                part = part.astype(float, copy=False)
+                col_std = part.std(axis=0)
+                excess = np.abs(part.mean(axis=0)) - 1e-12 * (col_std + 1.0)
+                # the grid is read only for the columns that need it
+                for col in np.flatnonzero(excess > 0):
+                    grid = min(_rounding_grid(part[:, col]), 2.0**-26 * col_std[col])
+                    if excess[col] > 4.0 * root_n * grid:
+                        raise NumericalConsistencyError(
+                            "samples marked centered but column means are not zero"
+                        )
 
     @property
     def n_samples(self):
@@ -127,15 +131,15 @@ class SampleSet:
         return np.iscomplexobj(self.data)
 
 
-def _rounding_grid(parts):
-    # per column, the coarsest power of two dividing every finite nonzero
-    # entry: the lowest set bit of each 53-bit mantissa, scaled back
-    finite = np.isfinite(parts)
-    mant, exp = np.frexp(np.where(finite, parts, 0.0))
+def _rounding_grid(column):
+    # the coarsest power of two dividing every finite nonzero entry: the
+    # lowest set bit of each 53-bit mantissa, scaled back
+    column = column[np.isfinite(column) & (column != 0)]
+    if column.size == 0:
+        return np.inf
+    mant, exp = np.frexp(column)
     bits = np.ldexp(mant, 53).astype(np.int64)
-    step = np.ldexp((bits & -bits).astype(float), exp - 53)
-    step[(parts == 0) | ~finite] = np.inf
-    return step.min(axis=0)
+    return np.ldexp((bits & -bits).astype(float), exp - 53).min()
 
 
 def center(raw) -> SampleSet:
@@ -391,7 +395,8 @@ def _group_edges(n):
     # syrk's rate.  Timed at n = 2..48, no narrower width beat these by more
     # than the run-to-run spread from n=12 on; below n=12 narrow groups won
     # in some runs and lost in others, as the BLAS threaded the small
-    # products or not.
+    # products or not.  At n=24 two groups ran the `wide` benchmark about 8%
+    # faster than one syrk (lower in 17 of 20 alternating runs).
     count = max(1, n // 12)
     return [round(k * n / count) for k in range(count + 1)]
 
