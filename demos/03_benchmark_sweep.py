@@ -2,7 +2,9 @@
 """Desk-scale benchmark sweep: accuracy vs sample size and noise power.
 
 Runs the seeded harness over two sample sizes and two noise powers,
-then prints the plot-ready summary table.  The same sweep is available
+then prints the plot-ready summary table: per (algorithm, N, p), the
+means over the trials that recovered every column (``trials_ok``) next
+to the count of all trials (``trials``).  The same sweep is available
 from the command line:
 
     pegica benchmark --n 6 --m 6 --samples 20000,100000 \
@@ -37,5 +39,5 @@ for line in table:
 
 n_partial = sum(1 for r in rows if r.trial != "mean" and r.status != "ok")
 if n_partial:
-    print(f"\n{n_partial} trial(s) reported partial recovery at small N "
-          "(heavy-tailed t(3) sources need samples); they are excluded from means")
+    print(f"\n{n_partial} trial row(s) reported partial recovery; the means skip "
+          "them, and trials_ok out of trials counts them")

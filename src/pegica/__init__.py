@@ -17,11 +17,8 @@ from .cumulants import (
 )
 from .demix import (
     DemixMatrix,
-    SinrReport,
     analytic_cov,
-    correlation_k,
     match_columns,
-    mse_k,
     optimal_sinr,
     pinv_demix,
     sample_cov,

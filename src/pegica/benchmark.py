@@ -136,7 +136,8 @@ def _trial_seed(master_seed, trial):
     return int(stream(master_seed, "starts", trial, 0).integers(0, 2**63 - 1))
 
 
-def _estimate_columns(config: RunConfig, X_samples, iter_seed):
+def _estimate_and_match(config: RunConfig, model, X_samples, iter_seed):
+    # the cell's one estimate, matched once to the true columns
     cfg = IterationConfig(
         epsilon=config.epsilon,
         max_iters=config.max_iters,
@@ -144,45 +145,35 @@ def _estimate_columns(config: RunConfig, X_samples, iter_seed):
         rng_seed=iter_seed,
     )
     oracle = CumulantOracle(X_samples)
-    return pegi_full(build_C(oracle), oracle, config.m, cfg)
+    est = pegi_full(build_C(oracle), oracle, config.m, cfg)
+    perm, _, angles = dx.match_columns(est.A_hat, model.A)
+    return est.A_hat, perm, float(angles.max())
 
 
-def _score(B, model: GroundTruthModel, permutation, opt_db):
-    achieved = np.empty(model.m)
-    for j in range(model.m):
-        k = int(permutation[j])
-        achieved[k] = dx.sinr_k(B[j], model, k)
-    ach_db = np.array([to_db(s) for s in achieved])
-    loss_db = opt_db - ach_db
-    return float(ach_db.mean()), float(loss_db.mean())
+def run_trial(model, X_samples, algorithm, matched=None):
+    """Score one algorithm on one drawn data set.
 
-
-def run_trial(config: RunConfig, model, X_samples, algorithm, est=None):
-    """Run one algorithm on one drawn data set; returns metric fields.
-
-    ``est`` is the cell's column estimate, which the ``pegi_*`` algorithms
-    share.  Raises the underlying error on failure; the sweep wrapper
-    converts those into status rows.
+    ``matched`` is the cell's estimate ``(A_hat, permutation, max angle)``,
+    which the ``pegi_*`` algorithms share.  Returns the mean SINR and mean
+    SINR loss in dB and the max column angle in degrees.  Raises the
+    underlying error on failure; the sweep wrapper converts those into
+    status rows.
     """
-    opt_db = np.array([to_db(s) for s in dx.optimal_sinr(model)])
-    max_angle = 0.0
+    perm, max_angle = None, 0.0
     if algorithm.startswith("pegi"):
-        perm, _, angles = dx.match_columns(est.A_hat, model.A)
-        max_angle = float(angles.max())
+        A_hat, perm, max_angle = matched
         if algorithm == "pegi_sinr":
-            B = dx.sinr_optimal_demix(est.A_hat, dx.sample_cov(X_samples)).B
+            B = dx.sinr_optimal_demix(A_hat, dx.sample_cov(X_samples)).B
         else:
-            B = dx.pinv_demix(est.A_hat).B
+            B = dx.pinv_demix(A_hat).B
     elif algorithm == "oracle_ainv":
         B = dx.pinv_demix(model.A).B
-        perm = np.arange(model.m)
     elif algorithm == "oracle_sinropt":
         B = dx.sinr_optimal_demix(model.A, dx.analytic_cov(model)).B
-        perm = np.arange(model.m)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    mean_db, mean_loss = _score(B, model, perm, opt_db)
-    return mean_db, mean_loss, max_angle
+    sinr, loss_db = dx.sinr_loss(B, model, perm)
+    return float(np.array([to_db(s) for s in sinr]).mean()), float(loss_db.mean()), max_angle
 
 
 def _attempt(fn, *args):
@@ -200,8 +191,9 @@ def run_benchmark(config: RunConfig):
 
     Per-trial failures (e.g. partial recovery on pathological data) are
     recorded in the row's status column and never abort the sweep.  The
-    ``pegi_*`` algorithms of one cell share one estimate, and with it its
-    status; each of their rows counts the estimate's time in its runtime.
+    ``pegi_*`` algorithms of one cell share one estimate, matched once to
+    the true columns, and with it its status; each of their rows counts
+    the estimate's time in its runtime.
     Rows come back sorted by (algorithm, N, p, trial) with aggregate rows
     after the per-trial rows of their cell.
     """
@@ -221,22 +213,21 @@ def run_benchmark(config: RunConfig):
                     stream(config.seed, "sources", trial, ip, iN).integers(0, 2**63 - 1)
                 ))
                 X_samples = center(batch.X)
-                est, est_status, est_ms = None, "ok", 0.0
+                matched, est_status, est_ms = None, "ok", 0.0
                 if estimates:
                     start = time.perf_counter()
-                    est, est_status = _attempt(
-                        _estimate_columns, config, X_samples, seed ^ (ip << 8) ^ (iN << 4)
+                    matched, est_status = _attempt(
+                        _estimate_and_match, config, model, X_samples,
+                        seed ^ (ip << 8) ^ (iN << 4),
                     )
                     est_ms = ms_since(start)
                 for algorithm in config.algorithms:
                     start = time.perf_counter()
                     pegi = algorithm.startswith("pegi")
-                    if pegi and est is None:
+                    if pegi and matched is None:
                         values, status = None, est_status
                     else:
-                        values, status = _attempt(
-                            run_trial, config, model, X_samples, algorithm, est
-                        )
+                        values, status = _attempt(run_trial, model, X_samples, algorithm, matched)
                     mean_db, mean_loss, max_angle = values or (float("nan"),) * 3
                     rows.append(BenchmarkRow(
                         algorithm=algorithm,
@@ -315,29 +306,18 @@ def read_benchmark_csv(path):
 def summarize(rows):
     """Aggregate per-trial rows into a plot-ready summary table.
 
-    Returns (header, rows) with one line per (algorithm, N, p): the count
-    of successful trials and the across-trial means.
+    Returns (header, rows) with one line per (algorithm, N, p), projected
+    from :func:`aggregate_rows`: the count of successful trials, the means
+    over them, and the count of all trials last.
     """
-    cells = {}
-    for row in rows:
-        if row.trial == "mean":
-            continue
-        cells.setdefault((row.algorithm, row.N, row.p), []).append(row)
-    header = ("algorithm", "N", "p", "trials_ok",
-              "mean_sinr_db", "mean_sinr_loss_db", "mean_max_column_angle_deg")
+    header = ("algorithm", "N", "p", "trials_ok", "mean_sinr_db",
+              "mean_sinr_loss_db", "mean_max_column_angle_deg", "trials")
     out = []
-    for (algorithm, N, p), cell in sorted(cells.items()):
-        ok = [r for r in cell if r.status == "ok"]
-        if ok:
-            vals = [
-                float(np.mean([r.mean_sinr_db for r in ok])),
-                float(np.mean([r.mean_sinr_loss_db for r in ok])),
-                float(np.mean([r.max_column_angle_deg for r in ok])),
-            ]
-        else:
-            vals = [float("nan")] * 3
-        out.append((algorithm, str(N), repr(float(p)), str(len(ok)),
-                    repr(vals[0]), repr(vals[1]), repr(vals[2])))
+    for agg in aggregate_rows(rows):
+        ok, total = agg.status.removeprefix("aggregate(").removesuffix(")").split("/")
+        out.append((agg.algorithm, str(agg.N), repr(float(agg.p)), ok,
+                    repr(agg.mean_sinr_db), repr(agg.mean_sinr_loss_db),
+                    repr(agg.max_column_angle_deg), total))
     return header, out
 
 

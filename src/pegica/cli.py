@@ -196,34 +196,29 @@ def cmd_demix(args):
         demixer = dx.pinv_demix(A_hat)
     S_hat = demixer.apply(samples.data)
     write_matrix_csv(outdir / "S_hat.csv", S_hat)
-    print(f"wrote demixed sources ({demixer.provenance}) to {outdir / 'S_hat.csv'}")
+    print(f"wrote demixed sources ({args.mode}) to {outdir / 'S_hat.csv'}")
     if args.model:
         model = _read_model(args.model)
         perm, phases, angles = dx.match_columns(A_hat, model.A)
-        achieved = np.empty(model.m)
-        for j in range(model.m):
-            k = int(perm[j])
-            achieved[k] = dx.sinr_k(demixer.B[j], model, k)
-        report = dx.sinr_loss(achieved, model, permutation=perm, phases=phases)
-        rows = []
-        for k in range(model.m):
-            j = int(np.where(perm == k)[0][0])
-            rows.append((
-                str(k),
-                format_value(report.per_source_sinr[k]),
-                format_value(report.per_source_sinr_db[k]),
-                format_value(report.sinr_loss_db[k]),
-                str(j),
-                format_value(phases[j]),
-                format_value(angles[j]),
-            ))
+        sinr, loss_db = dx.sinr_loss(demixer.B, model, perm)
+        sinr_db = np.array([to_db(s) for s in sinr])
+        row_of = np.argsort(perm)
+        rows = [(
+            str(k),
+            format_value(sinr[k]),
+            format_value(sinr_db[k]),
+            format_value(loss_db[k]),
+            str(j),
+            format_value(phases[j]),
+            format_value(angles[j]),
+        ) for k, j in enumerate(row_of)]
         write_table(outdir / "sinr_report.csv", (
             "source", "sinr", "sinr_db", "sinr_loss_db",
             "estimate_row", "phase", "column_angle_deg",
         ), rows)
         print(
-            f"mean SINR {report.mean_sinr_db:.3f} dB, "
-            f"mean loss {report.mean_sinr_loss_db:.3f} dB -> "
+            f"mean SINR {sinr_db.mean():.3f} dB, "
+            f"mean loss {loss_db.mean():.3f} dB -> "
             f"{outdir / 'sinr_report.csv'}"
         )
     return EXIT_OK

@@ -16,12 +16,10 @@ Sigma)`` with unit-variance sources:
 
 ``SINR_k(b) = |b A_k|^2 / (||b A||^2 - |b A_k|^2 + b Sigma b^H)``
 
-plus Monte-Carlo mean-squared error and correlation diagnostics, and a
-column matcher that resolves the permutation/phase ambiguity before
-scoring.
+An exact column matcher resolves the permutation/phase ambiguity of an
+estimate before its demixer is scored against the model optimum.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,15 +30,12 @@ from .linalg import hermitian_pinv, to_db, vector_angle_deg
 
 __all__ = [
     "DemixMatrix",
-    "SinrReport",
     "sample_cov",
     "analytic_cov",
     "sinr_optimal_demix",
     "pinv_demix",
     "optimal_sinr",
     "sinr_k",
-    "mse_k",
-    "correlation_k",
     "match_columns",
     "sinr_loss",
 ]
@@ -48,32 +43,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DemixMatrix:
-    """An m-by-n demixing matrix tagged with how it was constructed."""
+    """An m-by-n demixing matrix."""
 
     B: np.ndarray
-    provenance: str  # "sinr_opt" | "a_pinv" | "custom"
 
     def apply(self, X):
         """Recover sources from N-by-n samples: returns ``X @ B^T``."""
         return np.asarray(X) @ self.B.T
-
-
-@dataclass(frozen=True)
-class SinrReport:
-    """Per-source SINR of a demixer, against the model optimum.
-
-    Indices follow the *true* source order; ``permutation[j]`` is the true
-    source matched to estimate row j, and ``phases[j]`` the unit factor
-    aligning the j-th recovered column with that source's column.
-    """
-
-    per_source_sinr: np.ndarray
-    per_source_sinr_db: np.ndarray
-    sinr_loss_db: np.ndarray
-    permutation: np.ndarray
-    phases: np.ndarray
-    mean_sinr_db: float
-    mean_sinr_loss_db: float
 
 
 def sample_cov(samples: SampleSet):
@@ -107,12 +83,12 @@ def sinr_optimal_demix(A_hat, cov_X) -> DemixMatrix:
     if scale > 0 and np.linalg.norm(cov_X - cov_X.conj().T) > 1e-8 * scale:
         raise ValueError("covariance must be Hermitian")
     cov_pinv, _, _ = hermitian_pinv(cov_X)
-    return DemixMatrix(B=A_hat.conj().T @ cov_pinv, provenance="sinr_opt")
+    return DemixMatrix(B=A_hat.conj().T @ cov_pinv)
 
 
 def pinv_demix(A_hat) -> DemixMatrix:
     """Plain pseudoinverse demixer (the noise-free optimum)."""
-    return DemixMatrix(B=np.linalg.pinv(np.atleast_2d(np.asarray(A_hat))), provenance="a_pinv")
+    return DemixMatrix(B=np.linalg.pinv(np.atleast_2d(np.asarray(A_hat))))
 
 
 def sinr_k(b, model, k):
@@ -145,38 +121,6 @@ def optimal_sinr(model):
     return np.array([sinr_k(B_opt[k], model, k) for k in range(model.m)])
 
 
-def mse_k(b, S, X, k):
-    """Monte-Carlo mean squared error ``mean |S_k - b x|^2`` on paired draws."""
-    b = np.asarray(b).ravel()
-    S = np.atleast_2d(np.asarray(S))
-    X = np.atleast_2d(np.asarray(X))
-    if S.shape[0] != X.shape[0]:
-        raise DimensionMismatchError("latent and observed batches differ in length")
-    s_hat = X @ b
-    return float(np.mean(np.abs(S[:, k] - s_hat) ** 2))
-
-
-def correlation_k(b, S, X, k):
-    """Sample correlation between source k and the recovered signal ``b x``.
-
-    ``E[S_k conj(s_hat)] / (std(S_k) std(s_hat))``; zero by convention
-    when the recovered signal has no variance.
-    """
-    b = np.asarray(b).ravel()
-    S = np.atleast_2d(np.asarray(S))
-    X = np.atleast_2d(np.asarray(X))
-    if S.shape[0] != X.shape[0]:
-        raise DimensionMismatchError("latent and observed batches differ in length")
-    s = S[:, k]
-    s_hat = X @ b
-    sigma_s = np.sqrt(np.mean(np.abs(s) ** 2))
-    sigma_hat = np.sqrt(np.mean(np.abs(s_hat) ** 2))
-    if sigma_hat == 0.0 or sigma_s == 0.0:
-        return 0.0
-    value = np.mean(s * np.conj(s_hat)) / (sigma_s * sigma_hat)
-    return complex(value) if np.iscomplexobj(s_hat) or np.iscomplexobj(s) else float(value)
-
-
 def _abs_cosines(A_hat, A_true):
     num = np.abs(A_hat.conj().T @ A_true)
     norms_hat = np.linalg.norm(A_hat, axis=0)
@@ -184,37 +128,53 @@ def _abs_cosines(A_hat, A_true):
     return num / np.outer(norms_hat, norms_true)
 
 
-def _greedy_assignment(cos):
-    m = cos.shape[0]
-    perm = np.full(m, -1, dtype=int)
-    used_rows = np.zeros(m, dtype=bool)
-    used_cols = np.zeros(m, dtype=bool)
-    work = cos.copy()
-    for _ in range(m):
-        i, j = np.unravel_index(np.argmax(np.where(
-            np.outer(~used_rows, ~used_cols), work, -1.0)), work.shape)
-        perm[i] = j
-        used_rows[i] = True
-        used_cols[j] = True
+def _max_assignment(score):
+    """Row-to-column permutation maximizing the summed score, exactly.
+
+    Kuhn's Hungarian method (1955) in its O(m^3) shortest-augmenting-path
+    form: rows join one at a time, each along the cheapest path in the
+    reduced costs ``-score - u - v``, whose potentials keep every matched
+    pair tight.  Column 0 of the working arrays is a virtual column that
+    roots each path.
+    """
+    m = score.shape[0]
+    cost = -score
+    u = np.zeros(m + 1)
+    v = np.zeros(m + 1)
+    row_of = np.zeros(m + 1, dtype=int)  # 1-based row matched to each column
+    way = np.zeros(m + 1, dtype=int)
+    for i in range(1, m + 1):
+        row_of[0] = i
+        j0 = 0
+        slack = np.full(m + 1, np.inf)
+        used = np.zeros(m + 1, dtype=bool)
+        while row_of[j0]:
+            used[j0] = True
+            i0 = row_of[j0]
+            reduced = cost[i0 - 1] - u[i0] - v[1:]
+            better = ~used[1:] & (reduced < slack[1:])
+            slack[1:][better] = reduced[better]
+            way[1:][better] = j0
+            j1 = int(np.argmin(np.where(used[1:], np.inf, slack[1:]))) + 1
+            delta = slack[j1]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            slack[~used] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            row_of[j0] = row_of[j1]
+            j0 = j1
+    perm = np.empty(m, dtype=int)
+    perm[row_of[1:] - 1] = np.arange(m)
     return perm
-
-
-def _exhaustive_assignment(cos):
-    m = cos.shape[0]
-    best, best_perm = -np.inf, None
-    rows = np.arange(m)
-    for p in itertools.permutations(range(m)):
-        total = cos[rows, list(p)].sum()
-        if total > best:
-            best, best_perm = total, np.array(p, dtype=int)
-    return best_perm
 
 
 def match_columns(A_hat, A_true):
     """Match estimated columns to true ones, modulo permutation and phase.
 
-    Greedy maximum-|cosine| matching, falling back to exhaustive
-    assignment (m <= 8) whenever any greedy match dips below |cos| 0.9.
+    The matching maximizes the total |cosine| over all permutations,
+    exactly, at any m.
 
     Returns
     -------
@@ -234,9 +194,7 @@ def match_columns(A_hat, A_true):
     if np.linalg.matrix_rank(A_hat) < m or np.linalg.matrix_rank(A_true) < m:
         raise ValueError("column matching requires full column rank")
     cos = _abs_cosines(A_hat, A_true)
-    perm = _greedy_assignment(cos)
-    if m <= 8 and np.any(cos[np.arange(m), perm] < 0.9):
-        perm = _exhaustive_assignment(cos)
+    perm = _max_assignment(cos)
     phases = np.empty(m, dtype=complex)
     angles = np.empty(m)
     for j in range(m):
@@ -250,31 +208,21 @@ def match_columns(A_hat, A_true):
     return perm, phases, angles
 
 
-def sinr_loss(achieved_sinr, model, permutation=None, phases=None) -> SinrReport:
-    """Score per-source SINR against the model optimum.
+def sinr_loss(B, model, permutation=None):
+    """Per-source SINR of a demixer and its loss against the model optimum.
 
-    ``achieved_sinr`` is indexed by true source; losses are in dB
-    (optimal minus achieved, elementwise), nonnegative up to float noise
-    because the optimum is a per-source maximizer.
+    Row j of ``B`` is scored for true source ``permutation[j]`` (row k for
+    source k by default).  Returns ``(sinr, loss_db)``, both indexed by
+    true source; the loss is ``to_db(optimal) - to_db(sinr)``, nonnegative
+    up to float noise because the optimum is a per-source maximizer.
     """
-    achieved = np.asarray(achieved_sinr, dtype=float)
-    opt = optimal_sinr(model)
-    if achieved.shape != opt.shape:
-        raise DimensionMismatchError("one achieved SINR per source required")
-    ach_db = np.array([to_db(x) for x in achieved])
-    opt_db = np.array([to_db(x) for x in opt])
-    loss_db = opt_db - ach_db
-    m = achieved.shape[0]
-    if permutation is None:
-        permutation = np.arange(m)
-    if phases is None:
-        phases = np.ones(m)
-    return SinrReport(
-        per_source_sinr=achieved,
-        per_source_sinr_db=ach_db,
-        sinr_loss_db=loss_db,
-        permutation=np.asarray(permutation, dtype=int),
-        phases=np.asarray(phases),
-        mean_sinr_db=float(ach_db.mean()),
-        mean_sinr_loss_db=float(loss_db.mean()),
-    )
+    B = np.atleast_2d(np.asarray(B))
+    m = model.m
+    perm = np.arange(m) if permutation is None else np.asarray(permutation, dtype=int)
+    if B.shape[0] != m or not np.array_equal(np.sort(perm), np.arange(m)):
+        raise DimensionMismatchError("one row of B per source, matched by a permutation")
+    sinr = np.empty(m)
+    for j, k in enumerate(perm):
+        sinr[k] = sinr_k(B[j], model, int(k))
+    opt_db = np.array([to_db(s) for s in optimal_sinr(model)])
+    return sinr, opt_db - np.array([to_db(s) for s in sinr])

@@ -129,6 +129,27 @@ class TestRunBenchmark:
             assert key in aggs
             assert float(line[5]) == pytest.approx(aggs[key].mean_sinr_loss_db, rel=1e-12)
 
+    def test_summary_counts_every_trial_next_to_the_ok_ones(self):
+        # at p=0.67 with N=3000 some trials of this sweep recover only part
+        # of the mixing matrix; the means skip them, and the trials column
+        # shows how many there were
+        cfg = RunConfig(n=4, m=4, samples=(3000,), noise_powers=(0.67,), trials=3, seed=0,
+                        algorithms=("pegi_sinr", "oracle_ainv"), timing=False)
+        rows = run_benchmark(cfg)
+        header, summary = summarize(rows)
+        assert header == ("algorithm", "N", "p", "trials_ok", "mean_sinr_db", "mean_sinr_loss_db",
+                          "mean_max_column_angle_deg", "trials")
+        lines = {line[0]: line for line in summary}
+        pegi = [r for r in rows if r.algorithm == "pegi_sinr" and r.trial != "mean"]
+        ok = [r for r in pegi if r.status == "ok"]
+        assert 0 < len(ok) < len(pegi)
+        assert all(r.status == "partial" for r in pegi if r.status != "ok")
+        assert lines["pegi_sinr"][3] == str(len(ok))
+        assert lines["pegi_sinr"][7] == "3"
+        assert float(lines["pegi_sinr"][5]) == pytest.approx(
+            np.mean([r.mean_sinr_loss_db for r in ok]), rel=1e-12)
+        assert (lines["oracle_ainv"][3], lines["oracle_ainv"][7]) == ("3", "3")
+
     def test_header_stable(self):
         assert BENCHMARK_HEADER[0] == "algorithm"
         assert "status" in BENCHMARK_HEADER

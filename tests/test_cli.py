@@ -235,6 +235,7 @@ class TestBenchmarkCommand:
         assert header[0] == "algorithm"
         assert len(rows) == 1
         assert int(rows[0][3]) == 2  # both trials ok
+        assert header[-1] == "trials" and int(rows[0][-1]) == 2
 
 
 class TestOutputDirEnvVar:

@@ -2,17 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pegica import (
     GroundTruthModel,
     SampleSet,
     analytic_cov,
     center,
-    correlation_k,
     draw_batch,
     finite_kurtosis_panel,
     match_columns,
-    mse_k,
     noise_cov,
     optimal_sinr,
     pinv_demix,
@@ -24,7 +24,7 @@ from pegica import (
     stream,
 )
 from pegica.errors import DimensionMismatchError
-from pegica.linalg import vector_angle
+from pegica.linalg import to_db, vector_angle
 from conftest import brute_force_assignment, make_test_model
 
 
@@ -158,6 +158,21 @@ class TestSinrK:
 
 
 class TestMseAndCorrelation:
+    """The SINR-optimal row is the best linear estimator of its source.
+
+    MSE and correlation are measured by Monte Carlo on paired draws.
+    """
+
+    @staticmethod
+    def _mse(b, batch, k):
+        return float(np.mean(np.abs(batch.S[:, k] - batch.X @ b) ** 2))
+
+    @staticmethod
+    def _corr(b, batch, k):
+        s, s_hat = batch.S[:, k], batch.X @ b
+        return np.mean(s * np.conj(s_hat)) / np.sqrt(
+            np.mean(np.abs(s) ** 2) * np.mean(np.abs(s_hat) ** 2))
+
     def _noise_free_identity(self, n, N, seed):
         model = GroundTruthModel(
             A=np.eye(n),
@@ -170,11 +185,11 @@ class TestMseAndCorrelation:
 
     def test_perfect_recovery_mse_zero(self):
         _, batch = self._noise_free_identity(3, 50_000, seed=47)
-        assert mse_k(np.array([1.0, 0.0, 0.0]), batch.S, batch.X, 0) <= 1e-12
+        assert self._mse(np.array([1.0, 0.0, 0.0]), batch, 0) <= 1e-12
 
     def test_zero_row_mse_is_source_variance(self):
         _, batch = self._noise_free_identity(3, 200_000, seed=48)
-        assert mse_k(np.zeros(3), batch.S, batch.X, 1) == pytest.approx(1.0, abs=0.02)
+        assert self._mse(np.zeros(3), batch, 1) == pytest.approx(1.0, abs=0.02)
 
     def test_optimal_row_minimizes_mse(self, rng):
         model = make_test_model(n=4, seed=49, noise_power=0.3)
@@ -182,31 +197,27 @@ class TestMseAndCorrelation:
         B_opt = sinr_optimal_demix(model.A, analytic_cov(model)).B
         A_pinv = np.linalg.pinv(model.A)
         for k in range(4):
-            best = mse_k(B_opt[k], batch.S, batch.X, k)
-            assert best <= mse_k(A_pinv[k], batch.S, batch.X, k) + 1e-12
+            best = self._mse(B_opt[k], batch, k)
+            assert best <= self._mse(A_pinv[k], batch, k) + 1e-12
             for _ in range(250):
                 b = rng.standard_normal(4)
                 b /= np.linalg.norm(b)
-                assert best <= mse_k(b, batch.S, batch.X, k) + 1e-12
+                assert best <= self._mse(b, batch, k) + 1e-12
 
     def test_correlation_perfect_and_independent(self):
         _, batch = self._noise_free_identity(3, 100_000, seed=51)
-        assert correlation_k(np.array([1.0, 0.0, 0.0]), batch.S, batch.X, 0) == pytest.approx(1.0, abs=1e-10)
-        assert abs(correlation_k(np.array([0.0, 1.0, 0.0]), batch.S, batch.X, 0)) <= 0.02
-
-    def test_zero_variance_estimate_gives_zero(self):
-        _, batch = self._noise_free_identity(2, 1000, seed=52)
-        assert correlation_k(np.zeros(2), batch.S, batch.X, 0) == 0.0
+        assert self._corr(np.array([1.0, 0.0, 0.0]), batch, 0) == pytest.approx(1.0, abs=1e-10)
+        assert abs(self._corr(np.array([0.0, 1.0, 0.0]), batch, 0)) <= 0.02
 
     def test_optimal_row_maximizes_correlation(self, rng):
         model = make_test_model(n=4, seed=53, noise_power=0.3)
         batch = draw_batch(model, 100_000, seed=54)
         B_opt = sinr_optimal_demix(model.A, analytic_cov(model)).B
         for k in range(4):
-            best = abs(correlation_k(B_opt[k], batch.S, batch.X, k))
+            best = abs(self._corr(B_opt[k], batch, k))
             for _ in range(250):
                 b = rng.standard_normal(4)
-                assert abs(correlation_k(b, batch.S, batch.X, k)) <= best + 1e-6
+                assert abs(self._corr(b, batch, k)) <= best + 1e-6
 
     def test_sample_correlation_matches_analytic(self):
         # analytic correlation: |b A_k| / sqrt(b cov b^H)
@@ -216,7 +227,7 @@ class TestMseAndCorrelation:
         rng = stream(57, "starts")
         for _ in range(5):
             b = rng.standard_normal(4)
-            rho = correlation_k(b, batch.S, batch.X, 1)
+            rho = self._corr(b, batch, 1)
             expected = (b @ model.A[:, 1]) / np.sqrt(b @ cov @ b)
             assert rho == pytest.approx(expected, abs=5e-3)
 
@@ -233,10 +244,6 @@ class TestMseAndCorrelation:
         ])
         assert np.array_equal(np.argsort(sinrs), np.argsort(rho2))
         np.testing.assert_allclose(sinrs, rho2 / (1.0 - rho2), rtol=1e-9)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            mse_k(np.zeros(2), np.zeros((10, 2)), np.zeros((11, 2)), 0)
 
 
 class TestMatchColumns:
@@ -265,26 +272,66 @@ class TestMatchColumns:
         assert list(perm) == [0, 1, 2]
         assert phases[1] == pytest.approx(np.conj(phase), abs=1e-12)
 
-    def test_greedy_equals_exhaustive_on_separated_instances(self):
+    @staticmethod
+    def _abs_cos(A_hat, A):
+        unit_hat = A_hat / np.linalg.norm(A_hat, axis=0)
+        unit = A / np.linalg.norm(A, axis=0)
+        return np.abs(unit_hat.conj().T @ unit)
+
+    def test_matches_brute_force_on_random_columns(self):
+        # no separation filter: unrelated column sets and heavily perturbed
+        # permuted copies, where a greedy pick is often wrong
         rng = stream(63, "mixing")
-        checked = 0
-        for _ in range(100):
-            A = random_mixing(5, 5, 3.0, rng)
-            # require well-separated columns (min pairwise angle 10 deg)
-            unit = A / np.linalg.norm(A, axis=0)
-            cosines = np.abs(unit.T @ unit) - np.eye(5)
-            if cosines.max() > np.cos(np.radians(10.0)):
-                continue
-            perm_map = rng.permutation(5)
-            signs = rng.choice([-1.0, 1.0], 5)
-            A_hat = (A * signs)[:, perm_map] + 0.01 * rng.standard_normal(A.shape)
+        for m in range(1, 8):
+            for case in range(12):
+                A = rng.standard_normal((m, m))
+                if case % 2:
+                    noise = rng.uniform(0.3, 1.5)
+                    A_hat = A[:, rng.permutation(m)] + noise * rng.standard_normal((m, m))
+                else:
+                    A_hat = rng.standard_normal((m, m))
+                perm, _, _ = match_columns(A_hat, A)
+                assert np.array_equal(perm, brute_force_assignment(self._abs_cos(A_hat, A)))
+
+    def test_greedy_trap_above_eight_columns(self):
+        # greedy takes the 0.70 pair (estimate 0, true 0) and is left with
+        # 0.05 for estimate 1; swapping the first two scores 0.65 + 0.65
+        n, m = 12, 10
+        E = np.eye(n)
+        A_hat = E[:, :m].copy()
+        A_hat[:, 0] = 0.70 * E[:, 0] + 0.65 * E[:, 1] + np.sqrt(1 - 0.70**2 - 0.65**2) * E[:, 10]
+        A_hat[:, 1] = 0.65 * E[:, 0] + 0.05 * E[:, 1] + np.sqrt(1 - 0.65**2 - 0.05**2) * E[:, 11]
+        Q, _ = np.linalg.qr(stream(64, "mixing").standard_normal((n, n)))
+        perm, _, _ = match_columns(Q @ A_hat, Q @ E[:, :m])
+        assert list(perm) == [1, 0] + list(range(2, m))
+
+    def test_total_cosine_equals_scipy_at_24_columns(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = stream(65, "mixing")
+        for _ in range(5):
+            A = rng.standard_normal((24, 24))
+            A_hat = A[:, rng.permutation(24)] + rng.uniform(0.5, 2.0) * rng.standard_normal((24, 24))
+            cos = self._abs_cos(A_hat, A)
             perm, _, _ = match_columns(A_hat, A)
-            cos = np.abs(
-                (A_hat / np.linalg.norm(A_hat, axis=0)).T @ unit
-            )
-            assert np.array_equal(perm, brute_force_assignment(cos))
-            checked += 1
-        assert checked >= 80
+            rows, cols = optimize.linear_sum_assignment(cos, maximize=True)
+            assert cos[np.arange(24), perm].sum() == pytest.approx(cos[rows, cols].sum(), rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12), complex_field=st.booleans())
+    def test_rescaled_phased_permuted_columns_are_undone(self, seed, m, complex_field):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((m + 2, m))
+        if complex_field:
+            A = A + 1j * rng.standard_normal(A.shape)
+            factors = np.exp(2j * np.pi * rng.random(m))
+        else:
+            factors = rng.choice([-1.0, 1.0], m)
+        factors = factors * rng.uniform(0.1, 10.0, m)
+        order = rng.permutation(m)
+        perm, phases, angles = match_columns(A[:, order] * factors, A)
+        assert np.array_equal(perm, order)
+        np.testing.assert_allclose(phases, np.conj(factors) / np.abs(factors), atol=1e-9)
+        assert np.max(angles) <= 1e-6
 
     def test_rank_deficient_rejected(self):
         A = np.ones((4, 3))
@@ -295,31 +342,87 @@ class TestMatchColumns:
 class TestSinrLoss:
     def test_achieving_optimum_gives_zero_loss(self):
         model = make_test_model(n=3, seed=64, noise_power=0.2)
-        report = sinr_loss(optimal_sinr(model), model)
-        assert np.max(np.abs(report.sinr_loss_db)) <= 1e-9
-        assert report.mean_sinr_loss_db == pytest.approx(0.0, abs=1e-9)
+        B_opt = sinr_optimal_demix(model.A, analytic_cov(model)).B
+        sinr, loss_db = sinr_loss(B_opt, model)
+        np.testing.assert_allclose(sinr, optimal_sinr(model), rtol=1e-12)
+        assert np.max(np.abs(loss_db)) <= 1e-9
 
     def test_half_the_sinr_is_three_db(self):
-        model = make_test_model(n=3, seed=65, noise_power=0.2)
-        report = sinr_loss(optimal_sinr(model) / 2.0, model)
-        np.testing.assert_allclose(report.sinr_loss_db, 10 * np.log10(2.0), rtol=1e-9)
+        # identity mixing with noise s2 I: the row e_k + c e_j has SINR
+        # 1 / (c^2 + s2 (1 + c^2)), half the optimal 1/s2 when
+        # c^2 = s2 / (1 + s2)
+        s2 = 0.04
+        model = _identity_model(3, sigma2=s2)
+        B = np.eye(3) + np.sqrt(s2 / (1 + s2)) * np.roll(np.eye(3), 1, axis=1)
+        sinr, loss_db = sinr_loss(B, model)
+        np.testing.assert_allclose(sinr, 0.5 / s2, rtol=1e-12)
+        np.testing.assert_allclose(loss_db, 10 * np.log10(2.0), rtol=1e-9)
 
     def test_pseudoinverse_demixer_strictly_loses_in_noise(self):
         model = make_test_model(n=6, seed=66, noise_power=0.67)
-        A_pinv = np.linalg.pinv(model.A)
-        achieved = np.array([sinr_k(A_pinv[k], model, k) for k in range(6)])
-        report = sinr_loss(achieved, model)
-        assert report.mean_sinr_loss_db > 0.05
-        opt_report = sinr_loss(optimal_sinr(model), model)
-        assert opt_report.mean_sinr_loss_db <= 1e-9
+        _, loss_db = sinr_loss(np.linalg.pinv(model.A), model)
+        assert loss_db.mean() > 0.05
+        _, opt_loss_db = sinr_loss(sinr_optimal_demix(model.A, analytic_cov(model)).B, model)
+        assert opt_loss_db.mean() <= 1e-9
 
     def test_loss_never_negative(self, rng):
         model = make_test_model(n=4, seed=67, noise_power=0.3)
         for _ in range(20):
-            b_rows = rng.standard_normal((4, 4))
-            achieved = np.array([sinr_k(b_rows[k], model, k) for k in range(4)])
-            report = sinr_loss(achieved, model)
-            assert np.all(report.sinr_loss_db >= -1e-9)
+            _, loss_db = sinr_loss(rng.standard_normal((4, 4)), model)
+            assert np.all(loss_db >= -1e-9)
+
+    def test_rows_scored_for_their_matched_source(self):
+        model = make_test_model(n=4, seed=68, noise_power=0.3)
+        B = np.random.default_rng(0).standard_normal((4, 4))
+        perm = np.array([2, 0, 3, 1])
+        sinr, loss_db = sinr_loss(B, model, perm)
+        for j, k in enumerate(perm):
+            assert sinr[k] == sinr_k(B[j], model, k)
+            assert loss_db[k] == to_db(optimal_sinr(model)[k]) - to_db(sinr[k])
+
+    def test_bad_rows_or_permutation_rejected(self):
+        model = make_test_model(n=3, seed=69, noise_power=0.1)
+        with pytest.raises(DimensionMismatchError):
+            sinr_loss(np.eye(3)[:2], model)
+        with pytest.raises(DimensionMismatchError):
+            sinr_loss(np.eye(3), model, [0, 0, 1])
+
+    MODELS = {seed: make_test_model(n=4, seed=seed, noise_power=0.3) for seed in (70, 71)}
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        model_seed=st.sampled_from((70, 71)),
+        seed=st.integers(0, 2**32 - 1),
+        magnitudes=st.lists(st.floats(1e-3, 1e3), min_size=4, max_size=4),
+        angles=st.lists(st.floats(0.0, 2 * np.pi), min_size=4, max_size=4),
+        complex_scale=st.booleans(),
+    )
+    def test_row_scaling_does_not_change_scores(self, model_seed, seed, magnitudes, angles,
+                                                complex_scale):
+        model = self.MODELS[model_seed]
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((4, 4))
+        perm = rng.permutation(4)
+        angles = np.array(angles)
+        unit = np.exp(1j * angles) if complex_scale else np.where(angles < np.pi, 1.0, -1.0)
+        scale = np.array(magnitudes) * unit
+        sinr, loss_db = sinr_loss(B, model, perm)
+        sinr2, loss_db2 = sinr_loss(scale[:, None] * B, model, perm)
+        np.testing.assert_allclose(sinr2, sinr, rtol=1e-9)
+        np.testing.assert_allclose(loss_db2, loss_db, atol=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(model_seed=st.sampled_from((70, 71)), seed=st.integers(0, 2**32 - 1),
+           order=st.permutations(range(4)))
+    def test_permuting_rows_with_permutation_does_not_change_scores(self, model_seed, seed, order):
+        model = self.MODELS[model_seed]
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((4, 4))
+        perm = rng.permutation(4)
+        sinr, loss_db = sinr_loss(B, model, perm)
+        sinr2, loss_db2 = sinr_loss(B[list(order)], model, perm[list(order)])
+        assert np.array_equal(sinr2, sinr)
+        assert np.array_equal(loss_db2, loss_db)
 
 
 class TestDecompositionInvariance:

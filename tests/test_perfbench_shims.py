@@ -1,0 +1,56 @@
+"""The benchmark's timing shims (``perfbench/tracing.py``) still find every
+function they wrap, so a traced run cannot break on a renamed or deleted
+library name.  The module is loaded by path; nothing under ``perfbench/``
+is changed.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+from pegica.benchmark import RunConfig, run_benchmark
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _resolve(module_name, attr):
+    owner = importlib.import_module(module_name)
+    for part in attr.split("."):
+        owner = getattr(owner, part)
+    return owner
+
+
+def _holders(fn):
+    return [mod for name, mod in list(sys.modules.items())
+            if name.split(".")[0] == "pegica" and any(v is fn for v in vars(mod).values())]
+
+
+def test_every_shim_target_resolves_and_is_restored():
+    tracing = _load_tracing()
+    targets = {(mod, attr): _resolve(mod, attr) for mod, attr, _, _ in tracing.SHIMS}
+    holders = {key: _holders(fn) for key, fn in targets.items()}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for (mod, attr), original in targets.items():
+            assert _resolve(mod, attr).__wrapped__ is original, (mod, attr)
+            if "." not in attr:
+                for holder in holders[(mod, attr)]:
+                    assert getattr(holder, attr).__wrapped__ is original, (holder.__name__, attr)
+        # a traced sweep still sees matching and scoring
+        run_benchmark(RunConfig(n=3, m=3, samples=(3000,), noise_powers=(0.1,), trials=1,
+                                panel="finite_k4", algorithms=("pegi_sinr",), timing=False))
+        names = {span[tracing.NAME] for span in tracer.spans}
+        assert {"demix.match_columns", "demix.score", "recovery.pegi_full"} <= names
+    finally:
+        tracer.uninstall()
+    for key, original in targets.items():
+        assert _resolve(*key) is original, key
