@@ -257,10 +257,10 @@ def cmd_report(args):
     header, summary = summarize(rows)
     path = outdir / "report.csv"
     write_table(path, header, summary)
-    widths = [max(len(h), 12) for h in header]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    for row in summary:
-        print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
+    lines = [header] + [[str(c) for c in row] for row in summary]
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    for line in lines:
+        print("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip())
     print(f"wrote summary to {path}")
     return EXIT_OK
 

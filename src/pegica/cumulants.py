@@ -5,13 +5,13 @@ The recovery algorithm never touches raw data directly; it works through a
 
 * ``f(u) = cum(y, y, y, y)`` with ``y = <X, u>`` (plain fourth cumulant),
 * ``fstar(u) = cum(y, y, conj(y), conj(y))`` (conjugation scheme),
-* ``grad_f(u)`` (gradient of ``f``), and
-* ``hess_fstar(u)`` (the real Hessian of ``f`` for real signals, the
-  mixed-derivative complex Hessian of ``fstar`` for complex signals),
+* ``grad_f(u)`` (gradient of ``f``),
 
-plus the aggregate matrix ``C`` built from Hessians at the coordinate
-directions.  All of these are contractions of one fourth-cumulant tensor,
-which the oracle stores over pair products ``x_i x_j``.  It is built either
+plus the matrix ``C``, a rescaled sum of Hessians at the coordinate
+directions (the real Hessian of ``f`` for real signals, the
+mixed-derivative complex Hessian of ``fstar`` for complex signals).  All of
+these are contractions of one fourth-cumulant tensor, which the oracle
+stores over pair products ``x_i x_j``.  It is built either
 from samples (plug-in moments of one chunked pass, Gaussian part
 subtracted) or from a known mixing matrix and source cumulants.  Because
 the tensor has order four, additive Gaussian noise of any covariance drops
@@ -66,57 +66,22 @@ def _chunk_rows(n_pairs, itemsize):
 class SampleSet:
     """An N-by-n batch of observed signals with column means removed.
 
-    ``data`` is never mutated after construction; build instances through
-    :func:`center`.
-
-    With ``is_centered=True`` every column mean (real and imaginary parts
-    apart) must be no larger than what float64 rounding of a centering can
-    leave: ``1e-12 * (std + 1) + 4 * sqrt(N) * g``.  Data centered by
-    subtracting an offset ``m`` lie on the float64 grid of ``m`` (about
-    ``2.2e-16 * |m|``), and summing N of them leaves a mean error of about
-    ``sqrt(N)`` grid steps.  ``g`` is that grid, read from the data as the
-    coarsest power of two dividing every entry of the column, and counted
-    as at most ``2**-26 * std``: a column whose grid is coarser than that
-    has lost the resolution its statistics need, so a leftover mean there
-    is an offset, not rounding.  The gate therefore accepts a mean of at
-    most ``1e-12 * (std + 1) + 6e-8 * sqrt(N) * std``, which grows with N:
-    about ``2e-5 * std`` at N=1e5 and ``6e-4 * std`` at N=1e8, for a
-    column whose grid is that coarse (quantized or integer-valued data).
+    The constructor centers a float (or complex) copy of ``data``, so every
+    instance is centered and its input is left untouched.  ``data`` is not
+    mutated after construction.
     """
 
     data: np.ndarray
-    is_centered: bool = True
-
-    @classmethod
-    def _trusted(cls, data):
-        # for data this module has just centered: skips the checks below
-        self = object.__new__(cls)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "is_centered", True)
-        return self
 
     def __post_init__(self):
-        data = np.atleast_2d(np.asarray(self.data))
-        object.__setattr__(self, "data", data)
-        if data.ndim != 2:
+        raw = np.atleast_2d(np.asarray(self.data))
+        if raw.ndim != 2:
             raise DimensionMismatchError("sample data must be a 2-D matrix")
-        if data.shape[0] < 2:
-            raise InsufficientDataError(
-                f"need at least 2 samples, got {data.shape[0]}"
-            )
-        if self.is_centered:
-            root_n = np.sqrt(data.shape[0])
-            for part in (data.real, data.imag) if np.iscomplexobj(data) else (data,):
-                part = part.astype(float, copy=False)
-                col_std = part.std(axis=0)
-                excess = np.abs(part.mean(axis=0)) - 1e-12 * (col_std + 1.0)
-                # the grid is read only for the columns that need it
-                for col in np.flatnonzero(excess > 0):
-                    grid = min(_rounding_grid(part[:, col]), 2.0**-26 * col_std[col])
-                    if excess[col] > 4.0 * root_n * grid:
-                        raise NumericalConsistencyError(
-                            "samples marked centered but column means are not zero"
-                        )
+        if raw.shape[0] < 2:
+            raise InsufficientDataError(f"need at least 2 samples, got {raw.shape[0]}")
+        data = raw.astype(complex if np.iscomplexobj(raw) else float, copy=True)
+        data -= data.mean(axis=0, keepdims=True)
+        object.__setattr__(self, "data", data)
 
     @property
     def n_samples(self):
@@ -131,17 +96,6 @@ class SampleSet:
         return np.iscomplexobj(self.data)
 
 
-def _rounding_grid(column):
-    # the coarsest power of two dividing every finite nonzero entry: the
-    # lowest set bit of each 53-bit mantissa, scaled back
-    column = column[np.isfinite(column) & (column != 0)]
-    if column.size == 0:
-        return np.inf
-    mant, exp = np.frexp(column)
-    bits = np.ldexp(mant, 53).astype(np.int64)
-    return np.ldexp((bits & -bits).astype(float), exp - 53).min()
-
-
 def center(raw) -> SampleSet:
     """Subtract each column's sample mean.
 
@@ -153,17 +107,9 @@ def center(raw) -> SampleSet:
     Returns
     -------
     SampleSet
-        Centered copy of the input.
+        Centered copy of the input; the same as ``SampleSet(raw)``.
     """
-    raw = np.atleast_2d(np.asarray(raw, dtype=None))
-    if raw.ndim != 2:
-        raise DimensionMismatchError("raw data must be a 2-D matrix")
-    if raw.shape[0] < 2:
-        raise InsufficientDataError(f"need at least 2 samples, got {raw.shape[0]}")
-    dtype = complex if np.iscomplexobj(raw) else float
-    data = raw.astype(dtype, copy=True)
-    data -= data.mean(axis=0, keepdims=True)
-    return SampleSet._trusted(data)
+    return SampleSet(raw)
 
 
 class CumulantOracle:
@@ -174,22 +120,21 @@ class CumulantOracle:
     entries ``cum(x_i, x_j, x_k, x_l)`` and ``cum(x_i, x_j, conj(x_k),
     conj(x_l))``; for real data the two are one array.  Every functional is
     a contraction of them: O(P^2) per ``f``, ``fstar``, ``grad_f`` or
-    z-score call, O(n P^2) per ``hess_fstar`` call.
+    z-score call, and ``C`` is a partial trace of ``Qc``.
 
     ``CumulantOracle(samples)`` builds the tensors from the moments of one
     chunked pass over the samples (at most ``N P(P+1)/2`` multiply-adds,
-    fewer from n=24 on: see :func:`_pair_layout`); ``grad_f`` and
-    ``hess_fstar`` are then the exact derivatives of the sample ``f``
-    (respectively ``fstar``).  :meth:`from_mixing` and :meth:`from_model`
-    build them exactly from a mixing matrix and the source cumulants; those
-    oracles have no samples, and their z-scores are None.
+    fewer from n=24 on: see :func:`_pair_layout`); ``grad_f`` is then the
+    exact gradient of the sample ``f`` and ``C`` the rescaled sum of its
+    exact Hessians (of ``fstar``'s for complex data).  :meth:`from_mixing`
+    and :meth:`from_model` build them exactly from a mixing matrix and the
+    source cumulants; those oracles have no samples, and their z-scores
+    are None.
     """
 
     def __init__(self, samples: SampleSet):
         if not isinstance(samples, SampleSet):
             samples = center(samples)
-        if not samples.is_centered:
-            raise NumericalConsistencyError("cumulant oracle requires centered samples")
         self.samples = samples
         self._index_pairs(samples.dim, samples.is_complex)
         M, P, G, K = _pair_moments(samples.data)
@@ -318,18 +263,6 @@ class CumulantOracle:
         # (Q w)[pair] is the matrix cum(x, x^T, y, y)
         return 4.0 * ((self._Q @ self._weights(v))[self._pair] @ v)
 
-    def hess_fstar(self, u):
-        """The real Hessian of ``f`` for real data, the mixed-derivative
-        complex Hessian of ``fstar`` for complex data."""
-        v = np.conj(self._check(u))
-        n = self.dim
-        # R z = y x, so R Qc R^H = cum(x, y, conj(x)^T, conj(y))
-        R = np.zeros((n, self._iu.size), dtype=np.result_type(v, self._Qc))
-        R[np.arange(n), self._pair] = v[:, None]
-        H = (R @ self._Qc @ R.conj().T).T
-        H *= 4.0 if self.is_complex else 12.0
-        return 0.5 * (H + H.conj().T)
-
     def kurtosis_z_score(self, u):
         """How many standard errors the projection's kurtosis is from zero.
 
@@ -365,10 +298,10 @@ class CumulantOracle:
     def build_C_matrix(self):
         """Sum of Hessians at the coordinate directions, already rescaled.
 
-        Equals ``(1/12) sum_k hess(e_k)`` for real data and
-        ``(1/4) sum_k hess_fstar(e_k)`` for complex data:
-        ``C_ij = sum_k Qc[(k, j), (k, i)]``, a partial trace of the tensor
-        instead of n Hessian calls.
+        Equals ``(1/12) sum_k H(e_k)`` with ``H`` the real Hessian of ``f``
+        for real data, and ``(1/4) sum_k H(e_k)`` with ``H`` the
+        mixed-derivative complex Hessian of ``fstar`` for complex data:
+        ``C_ij = sum_k Qc[(k, j), (k, i)]``, a partial trace of the tensor.
         """
         pair = self._pair
         C = self._Qc[pair[:, :, None], pair[:, None, :]].sum(axis=0).T
@@ -540,11 +473,10 @@ class PseudoMetric:
 
 
 def build_C(oracle: CumulantOracle, rtol=None) -> PseudoMetric:
-    """Assemble the pseudo-Euclidean metric from Hessian evaluations.
+    """Assemble the pseudo-Euclidean metric from the oracle's ``C``.
 
-    Averages the Hessian over the coordinate directions —
-    ``(1/12) sum_k hess(e_k)`` for real signals, ``(1/4) sum_k
-    hess_fstar(e_k)`` for complex ones — which guarantees every source
+    ``C`` sums the rescaled Hessians at the coordinate directions (see
+    :meth:`CumulantOracle.build_C_matrix`), which guarantees every source
     contributes ``||A_k||^2 kappa4(S_k)`` to the diagonal scaling,
     regardless of sign.
 

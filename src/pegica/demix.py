@@ -56,8 +56,6 @@ def sample_cov(samples: SampleSet):
     """Sample covariance ``E[x x^H]`` of centered samples (1/N convention)."""
     if not isinstance(samples, SampleSet):
         raise DimensionMismatchError("sample_cov expects a SampleSet")
-    if not samples.is_centered:
-        raise ValueError("sample_cov requires centered samples")
     X = samples.data
     cov = (X.T @ X.conj()) / samples.n_samples
     return 0.5 * (cov + cov.conj().T)

@@ -14,11 +14,6 @@ import numpy as np
 DB_CAP = 300.0
 
 
-def is_complex(*arrays) -> bool:
-    """True if any argument is a complex array."""
-    return any(np.iscomplexobj(a) for a in arrays)
-
-
 def unit(v):
     """Return ``v`` scaled to unit Euclidean norm."""
     nrm = np.linalg.norm(v)

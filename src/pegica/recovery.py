@@ -105,9 +105,8 @@ class MixingEstimate:
 
 @dataclass
 class ConvergenceTrace:
-    """Iterates and phase-invariant residuals of one fixed-point run."""
+    """Phase-invariant residuals of one fixed-point run."""
 
-    iterates: list
     residuals: list
     converged: bool = False
 
@@ -207,7 +206,7 @@ def recover_column(u0, metric: PseudoMetric, oracle: CumulantOracle,
         Propagated from :func:`pegi_update`.
     """
     u = unit(np.asarray(u0).ravel())
-    trace = ConvergenceTrace(iterates=[u.copy()], residuals=[])
+    trace = ConvergenceTrace(residuals=[])
     prev = u
     prev2 = None
     cycle_hits = 0
@@ -222,7 +221,6 @@ def recover_column(u0, metric: PseudoMetric, oracle: CumulantOracle,
             u = u / norm
         u = pegi_update(u, metric, oracle)
         done, residual = converged_up_to_phase(u, prev, cfg.epsilon)
-        trace.iterates.append(u.copy())
         trace.residuals.append(residual)
         if done:
             trace.converged = True

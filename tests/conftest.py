@@ -33,17 +33,6 @@ def fd_gradient(func, u, h=1e-4):
     return g if np.iscomplexobj(u) else g.real
 
 
-def fd_jacobian(vec_func, u, h=1e-6):
-    """Central-difference Jacobian of a vector function of a real vector."""
-    u = np.asarray(u, dtype=float)
-    cols = []
-    for i in range(u.shape[0]):
-        e = np.zeros_like(u)
-        e[i] = 1.0
-        cols.append((vec_func(u + h * e) - vec_func(u - h * e)) / (2.0 * h))
-    return np.column_stack(cols)
-
-
 def brute_force_assignment(score):
     """Permutation maximizing the summed score, by full enumeration."""
     m = score.shape[0]

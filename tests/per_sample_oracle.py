@@ -20,8 +20,6 @@ class PerSampleOracle:
     def __init__(self, samples: SampleSet):
         if not isinstance(samples, SampleSet):
             samples = center(samples)
-        if not samples.is_centered:
-            raise NumericalConsistencyError("empirical oracle requires centered samples")
         self.samples = samples
         self.dim = samples.dim
         self.is_complex = samples.is_complex

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: files, exit codes, pipeline coherence."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,21 @@ class TestBenchmarkCommand:
         assert len(rows) == 1
         assert int(rows[0][3]) == 2  # both trials ok
         assert header[-1] == "trials" and int(rows[0][-1]) == 2
+
+    def test_report_columns_line_up(self, tmp_path, capsys):
+        out = tmp_path / "ben"
+        run_cli("benchmark", "--n", 4, "--m", 4, "--samples", "2000",
+                "--noise-power", "0.1", "--trials", 2, "--seed", 5,
+                "--algo", "oracle_ainv,oracle_sinropt", "--panel", "finite_k4",
+                "--no-timing", "--out", out)
+        capsys.readouterr()
+        assert run_cli("report", out / "benchmark.csv", "--out", tmp_path / "rep") == 0
+        lines = capsys.readouterr().out.splitlines()[:-1]  # the last names the file
+        starts = [[m.start() for m in re.finditer(r"\S+", line)] for line in lines]
+        assert len(lines) == 3 and len(starts[0]) == 8
+        assert any(len(cell) > 12 for cell in lines[1].split())  # wider than the old pad
+        for row in starts[1:]:
+            assert row == starts[0]
 
 
 class TestOutputDirEnvVar:

@@ -11,19 +11,15 @@ from pegica import (
     draw_batch,
 )
 from pegica.cumulants import _chunk_rows, _pair_moments
-from pegica.errors import (
-    DimensionMismatchError,
-    InsufficientDataError,
-    NumericalConsistencyError,
-)
-from conftest import fd_gradient, fd_jacobian, make_test_model
+from pegica.errors import DimensionMismatchError, InsufficientDataError
+from conftest import fd_gradient, make_test_model
+from per_sample_oracle import PerSampleOracle
 
 
 class TestCenter:
     def test_constant_column_becomes_zero(self):
         out = center(np.array([[5.0], [5.0], [5.0], [5.0]]))
         assert np.all(out.data == 0.0)
-        assert out.is_centered
 
     def test_idempotent_on_centered_data(self, rng):
         raw = rng.standard_normal((100, 3))
@@ -51,9 +47,23 @@ class TestCenter:
         out = center(raw)
         np.testing.assert_allclose(out.data, raw - raw.mean(axis=0), rtol=0, atol=1e-12)
 
-    def test_sampleset_rejects_uncentered_claim(self):
-        with pytest.raises(NumericalConsistencyError):
-            SampleSet(data=np.array([[1.0], [2.0], [3.0]]), is_centered=True)
+    def test_sampleset_centers_a_copy_of_its_input(self, rng):
+        raw = rng.standard_normal((1000, 3)) + np.array([0.0, 5.0, -1e3])
+        raw_before = raw.copy()
+        out = SampleSet(raw)
+        assert np.array_equal(raw, raw_before)
+        assert not np.shares_memory(out.data, raw)
+        # already-centered data is centered again, into a new copy
+        centered = out.data.copy()
+        again = SampleSet(out.data)
+        assert np.array_equal(out.data, centered)
+        assert not np.shares_memory(again.data, out.data)
+        np.testing.assert_array_equal(again.data, centered - centered.mean(axis=0))
+
+    def test_sampleset_converts_integer_data(self):
+        out = SampleSet(np.array([[1, 4], [3, 8]]))
+        assert out.data.dtype == float
+        np.testing.assert_array_equal(out.data, [[-1.0, -2.0], [1.0, 2.0]])
 
     @pytest.mark.parametrize("offset", [1e3, 1e4, 1e5, 1e6])
     @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
@@ -63,16 +73,37 @@ class TestCenter:
         raw = rng.standard_normal((100_000, 4)) + offset
         if complex_field:
             raw = raw + 1j * (rng.standard_normal((100_000, 4)) - offset * np.arange(1, 5))
-        samples = SampleSet(raw - raw.mean(axis=0), is_centered=True)
+        samples = SampleSet(raw - raw.mean(axis=0))
         assert samples.n_samples == 100_000
+        assert np.all(np.abs(samples.data.mean(axis=0)) <= 1e-12 * (samples.data.std(axis=0) + 1))
+        # raw data is centered bitwise as center() always did it
+        reference = raw.astype(complex if complex_field else float, copy=True)
+        reference -= reference.mean(axis=0, keepdims=True)
+        data = SampleSet(raw).data
+        assert np.array_equal(data, center(raw).data)
+        assert np.array_equal(data, reference)
 
     @pytest.mark.parametrize("offset", [0.0, 1e3])
-    def test_sampleset_rejects_a_small_real_offset(self, offset):
+    def test_sampleset_removes_a_small_real_offset(self, offset):
         raw = np.random.default_rng(2).standard_normal((100_000, 4)) + offset
         data = raw - raw.mean(axis=0)
         data[:, 2] += 1e-6 * data[:, 2].std()
-        with pytest.raises(NumericalConsistencyError):
-            SampleSet(data, is_centered=True)
+        out = SampleSet(data)
+        assert abs(out.data[:, 2].mean()) <= 1e-12 * (out.data[:, 2].std() + 1)
+        np.testing.assert_allclose(out.data, raw - raw.mean(axis=0), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("precentered", [False, True], ids=["raw", "precentered"])
+    def test_constant_column_from_an_inexact_mean(self, precentered):
+        # 1e3/3 has no exact float64 mean over 1e5 rows: x - x.mean(0)
+        # leaves 4.9e-10 on every entry of the constant column
+        rng = np.random.default_rng(4)
+        x = np.column_stack((np.full(100_000, 1e3 / 3), rng.laplace(size=100_000),
+                             rng.uniform(-1, 1, 100_000)))
+        samples = SampleSet(x - x.mean(axis=0) if precentered else x)
+        assert samples.data[:, 0].std() == 0.0
+        oracle = CumulantOracle(samples)
+        assert oracle.samples is samples
+        assert build_C(oracle).rank == 2
 
 
 def kappa4(x):
@@ -160,10 +191,12 @@ class TestAnalyticOracle:
             oracle.grad_f(np.array([1.0, 0.0])), [12.0, 0.0], atol=1e-14
         )
 
-    def test_hess_at_basis_vector(self):
-        oracle = _identity_oracle([3.0, -1.2, 6.0])
-        H = oracle.hess_fstar(np.array([1.0, 0.0, 0.0]))
-        np.testing.assert_allclose(H, np.diag([36.0, 0.0, 0.0]), atol=1e-14)
+    def test_C_scales_kurtosis_by_column_norm(self):
+        # C = A diag(||A_k||^2 kappa4) A^T; here A = diag(2, 1, 0.5)
+        oracle = CumulantOracle.from_mixing(np.diag([2.0, 1.0, 0.5]), [3.0, -1.2, 6.0])
+        np.testing.assert_allclose(
+            oracle.build_C_matrix(), np.diag([48.0, -1.2, 0.375]), atol=1e-14
+        )
 
     def test_noise_covariance_never_enters(self):
         model_a = make_test_model(n=5, noise_power=0.0, seed=3)
@@ -172,7 +205,7 @@ class TestAnalyticOracle:
         ob = CumulantOracle.from_model(model_b)
         u = np.linspace(-1, 1, 5)
         np.testing.assert_array_equal(oa.grad_f(u), ob.grad_f(u))
-        np.testing.assert_array_equal(oa.hess_fstar(u), ob.hess_fstar(u))
+        np.testing.assert_array_equal(oa.build_C_matrix(), ob.build_C_matrix())
 
     def test_rejects_sources_without_closed_form(self):
         from pegica import default_source_panel, make_model
@@ -190,9 +223,11 @@ class TestAnalyticOracle:
 
 class TestEmpiricalOracle:
     def test_requires_centered_samples(self, rng):
-        samples = SampleSet(rng.standard_normal((100, 2)), is_centered=False)
-        with pytest.raises(NumericalConsistencyError):
-            CumulantOracle(samples)
+        # raw data is centered on the way in, exactly as center() does it
+        raw = rng.standard_normal((100, 2)) + 5.0
+        oracle = CumulantOracle(raw)
+        assert isinstance(oracle.samples, SampleSet)
+        assert np.array_equal(oracle.samples.data, center(raw).data)
 
     def test_matches_analytic_at_large_n(self):
         model = make_test_model(n=5, cond=1.0, noise_power=0.1, seed=7, moderate=True)
@@ -205,8 +240,8 @@ class TestEmpiricalOracle:
         assert emp.fstar(u) == pytest.approx(ana.fstar(u), abs=0.05)
         g_emp, g_ana = emp.grad_f(u), ana.grad_f(u)
         assert np.linalg.norm(g_emp - g_ana) <= 0.05 * (1 + np.linalg.norm(g_ana))
-        H_emp, H_ana = emp.hess_fstar(u), ana.hess_fstar(u)
-        assert np.linalg.norm(H_emp - H_ana) <= 0.05 * np.linalg.norm(H_ana)
+        C_emp, C_ana = emp.build_C_matrix(), ana.build_C_matrix()
+        assert np.linalg.norm(C_emp - C_ana) <= 0.05 * np.linalg.norm(C_ana)
 
     def test_gradient_vanishes_on_pure_gaussian(self, rng):
         X = rng.standard_normal((1_000_000, 3))
@@ -214,11 +249,10 @@ class TestEmpiricalOracle:
         u = np.array([0.6, -0.64, 0.48])
         assert np.all(np.abs(emp.grad_f(u)) < 0.05)
 
-    def test_hessian_small_on_pure_gaussian(self, rng):
+    def test_C_small_on_pure_gaussian(self, rng):
         X = rng.standard_normal((1_000_000, 3))
         emp = CumulantOracle(center(X))
-        H = emp.hess_fstar(np.array([1.0, 0.0, 0.0]))
-        assert np.max(np.abs(H)) < 0.1
+        assert np.max(np.abs(emp.build_C_matrix())) < 0.1
 
     def test_gradient_matches_finite_differences_real(self, rng):
         model = make_test_model(n=4, noise_power=0.2, seed=1)
@@ -242,29 +276,22 @@ class TestEmpiricalOracle:
         g_fd = fd_gradient(emp.f, u, h=1e-4)
         assert np.max(np.abs(g - g_fd)) <= 1e-5 * (1 + np.linalg.norm(g))
 
-    def test_hessian_matches_jacobian_of_gradient_real(self, rng):
-        model = make_test_model(n=3, noise_power=0.0, seed=4)
-        batch = draw_batch(model, 20_000, seed=8)
-        emp = CumulantOracle(center(batch.X))
-        u = rng.standard_normal(3)
-        u /= np.linalg.norm(u)
-        H = emp.hess_fstar(u)
-        H_fd = fd_jacobian(emp.grad_f, u, h=1e-6)
-        assert np.max(np.abs(H - H_fd)) <= 1e-4 * (1 + np.max(np.abs(H)))
-
     def test_gaussian_noise_invariance_empirical(self):
-        # same mixing matrix and sources, two different noise covariances
+        # same mixing matrix and source draws, two different noise
+        # covariances: only the noise, not the sources' sampling error
+        # (over 6% of C for these heavy-tailed sources at N=1e6), differs
         model1 = make_test_model(n=4, noise_power=0.1, seed=11)
         model2 = make_test_model(n=4, noise_power=0.5, seed=11)
         b1 = draw_batch(model1, 1_000_000, seed=21)
-        b2 = draw_batch(model2, 1_000_000, seed=22)
+        b2 = draw_batch(model2, 1_000_000, seed=21)
+        assert np.array_equal(b1.S, b2.S)
         e1 = CumulantOracle(center(b1.X))
         e2 = CumulantOracle(center(b2.X))
         u = np.array([0.5, 0.5, -0.5, 0.5])
         g1, g2 = e1.grad_f(u), e2.grad_f(u)
-        assert np.linalg.norm(g1 - g2) <= 0.05 * max(np.linalg.norm(g1), np.linalg.norm(g2))
-        H1, H2 = e1.hess_fstar(u), e2.hess_fstar(u)
-        assert np.linalg.norm(H1 - H2) <= 0.05 * max(np.linalg.norm(H1), np.linalg.norm(H2))
+        assert np.linalg.norm(g1 - g2) <= 0.01 * max(np.linalg.norm(g1), np.linalg.norm(g2))
+        C1, C2 = e1.build_C_matrix(), e2.build_C_matrix()
+        assert np.linalg.norm(C1 - C2) <= 0.01 * max(np.linalg.norm(C1), np.linalg.norm(C2))
 
 
 class TestBuildC:
@@ -315,17 +342,17 @@ class TestBuildC:
         assert np.linalg.norm(C_emp - C_ana) <= 0.05 * np.linalg.norm(C_ana)
 
     def test_empirical_equals_sum_of_coordinate_hessians(self, rng):
-        # the one-pass construction must agree with n explicit Hessian calls
-        X = rng.standard_normal((5000, 3)) ** 3
-        emp = CumulantOracle(center(X))
-        expected = sum(emp.hess_fstar(e) for e in np.eye(3)) / 12.0
-        np.testing.assert_allclose(emp.build_C_matrix(), expected, atol=1e-10)
+        # the partial trace must agree with n per-sample Hessians
+        samples = center(rng.standard_normal((5000, 3)) ** 3)
+        reference = PerSampleOracle(samples)
+        expected = sum(reference.hess_fstar(e) for e in np.eye(3)) / 12.0
+        np.testing.assert_allclose(CumulantOracle(samples).build_C_matrix(), expected, atol=1e-10)
 
     def test_empirical_complex_equals_sum_of_coordinate_hessians(self, rng):
-        Z = rng.standard_normal((4000, 3)) ** 3 + 1j * rng.standard_normal((4000, 3))
-        emp = CumulantOracle(center(Z))
-        expected = sum(emp.hess_fstar(e) for e in np.eye(3).astype(complex)) / 4.0
-        np.testing.assert_allclose(emp.build_C_matrix(), expected, atol=1e-10)
+        samples = center(rng.standard_normal((4000, 3)) ** 3 + 1j * rng.standard_normal((4000, 3)))
+        reference = PerSampleOracle(samples)
+        expected = sum(reference.hess_fstar(e) for e in np.eye(3).astype(complex)) / 4.0
+        np.testing.assert_allclose(CumulantOracle(samples).build_C_matrix(), expected, atol=1e-10)
 
     def test_pseudo_inner_product_orthogonalizes_columns(self):
         model = make_test_model(n=5, seed=19)

@@ -39,7 +39,7 @@ def _identity_model(n, sigma2):
 
 class TestSampleCov:
     def test_zero_samples_give_zero_matrix(self):
-        samples = SampleSet(np.zeros((10, 3)), is_centered=True)
+        samples = SampleSet(np.zeros((10, 3)))
         assert np.all(sample_cov(samples) == 0.0)
 
     def test_gaussian_identity(self, rng):
@@ -60,9 +60,9 @@ class TestSampleCov:
         np.testing.assert_allclose(cov, cov.conj().T, atol=1e-14)
 
     def test_uncentered_rejected(self, rng):
-        samples = SampleSet(rng.standard_normal((100, 2)) + 5.0, is_centered=False)
-        with pytest.raises(ValueError):
-            sample_cov(samples)
+        # only a SampleSet is known to be centered
+        with pytest.raises(DimensionMismatchError):
+            sample_cov(rng.standard_normal((100, 2)) + 5.0)
 
 
 class TestSinrOptimalDemix:

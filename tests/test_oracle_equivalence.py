@@ -26,7 +26,7 @@ from per_sample_oracle import PerSampleOracle
 
 RTOL = 1e-10
 N_DIM = 5
-FUNCTIONALS = ("f", "fstar", "grad_f", "hess_fstar", "kurtosis_z_score", "source_z_score")
+FUNCTIONALS = ("f", "fstar", "grad_f", "kurtosis_z_score", "source_z_score")
 
 
 def _rows_per_chunk(complex_field):
@@ -81,9 +81,7 @@ class ClosedFormOracle:
     """Exact functionals of ``X = A S + noise``, written per source.
 
     With ``z = A^T conj(u)``: ``f = sum k4 z^4``, ``fstar = sum k4* |z|^4``,
-    ``grad_f = 4 A (z^3 k4)``, the Hessian ``12 A diag(z^2 k4) A^T`` (real)
-    or ``4 conj(A) diag(|z|^2 k4*) A^T`` (complex), and
-    ``C = A diag(||a||^2 k4) A^T`` (a conjugate on the left factor and
+    ``grad_f = 4 A (z^3 k4)`` and ``C = A diag(||a||^2 k4) A^T`` (a conjugate on the left factor and
     ``k4*`` for complex data).
     """
 
@@ -105,12 +103,6 @@ class ClosedFormOracle:
         z = self._coords(u)
         g = 4.0 * (self.A @ (z**3 * self.k4))
         return g if self.is_complex else g.real
-
-    def hess_fstar(self, u):
-        z = self._coords(u)
-        if not self.is_complex:
-            return (self.A * (12.0 * z.real**2 * self.k4)) @ self.A.T
-        return (self.A.conj() * (4.0 * np.abs(z) ** 2 * self.k4_star)) @ self.A.T
 
     def build_C_matrix(self):
         col_norm2 = np.einsum("ij,ij->j", self.A.conj(), self.A).real
@@ -138,7 +130,7 @@ def test_model_built_functionals_match_closed_forms(case, rng):
         u = rng.standard_normal(N_DIM)
         if oracle.is_complex:
             u = u + 1j * rng.standard_normal(N_DIM)
-        for name in ("f", "fstar", "grad_f", "hess_fstar"):
+        for name in ("f", "fstar", "grad_f"):
             _assert_close(getattr(oracle, name)(u), getattr(reference, name)(u))
         assert oracle.kurtosis_z_score(u) is None
         assert oracle.source_z_score(u) is None

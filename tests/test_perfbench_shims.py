@@ -1,17 +1,21 @@
 """The benchmark's timing shims (``perfbench/tracing.py``) still find every
-function they wrap, so a traced run cannot break on a renamed or deleted
-library name.  The module is loaded by path; nothing under ``perfbench/``
-is changed.
+function they wrap, and a traced benchmark run still checks out, so the
+benchmark cannot break on a renamed or deleted library name or a changed
+signature.  The modules are loaded by path or run as a script; nothing
+under ``perfbench/`` is changed.
 """
 
 import importlib
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
 from pegica.benchmark import RunConfig, run_benchmark
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -54,3 +58,16 @@ def test_every_shim_target_resolves_and_is_restored():
         tracer.uninstall()
     for key, original in targets.items():
         assert _resolve(*key) is original, key
+
+
+def test_traced_tall_run_is_correct():
+    # one untimed round of the tall workload through every shim
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "tall", "--seed", "0",
+         "--seconds", "0", "--trace", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True, proc.stderr
+    assert result["attempted"] >= 1 and result["failed"] == 0
