@@ -404,8 +404,13 @@ def _pair_moments(X):
     ``iu, ju = np.triu_indices(n)``; for real data ``P`` is ``M`` and ``K``
     is ``G``.  Each chunk's pair products are formed once, by broadcasting
     one row index against a run of others, in the block layout of
-    :func:`_pair_layout`; ``G`` (real or complex alike) is accumulated as
-    the layout's block products and expanded once at the end.
+    :func:`_pair_layout`.  For real data ``G`` is accumulated as the
+    layout's block products and expanded once at the end.  For complex
+    data ``z = a + ib`` one real syrk of the stacked ``[a; b]`` accumulates
+    ``a a^T``, ``a b^T`` and ``b b^T``, which give both
+    ``G = (a a^T - b b^T) + i (a b^T + b a^T)`` and
+    ``K = (a a^T + b b^T) + i (b a^T - a b^T)``; ``G`` then reads the
+    layout's blocks from that product, so its expansion is the same.
     """
     N, n = X.shape
     cplx = np.iscomplexobj(X)
@@ -414,11 +419,14 @@ def _pair_moments(X):
     rows = min(N, _chunk_rows(n_pairs, X.itemsize))
     xt = np.empty((n, rows), dtype=X.dtype)
     z = np.empty((n_pairs, rows), dtype=X.dtype)
-    block = np.empty(max(part.stop - part.start for _, _, part in layout.products),
-                     dtype=X.dtype)
     acc = np.zeros(layout.size, dtype=X.dtype)
     M = np.zeros((n, n), dtype=X.dtype)
-    P, K = (np.zeros_like(M), np.zeros((n_pairs, n_pairs), X.dtype)) if cplx else (M, None)
+    if cplx:
+        P = np.zeros_like(M)
+        parts = np.empty((2 * n_pairs, rows))  # [Re z; Im z]
+        W = np.zeros((2 * n_pairs, 2 * n_pairs))
+    else:
+        block = np.empty(max(part.stop - part.start for _, _, part in layout.products))
     for start in range(0, N, rows):
         x = xt[:, :min(rows, N - start)]
         np.copyto(x, X[start:start + x.shape[1]].T)
@@ -430,20 +438,29 @@ def _pair_moments(X):
             for i in range(j0, j1):
                 np.multiply(x[i], x[i:j1], out=zc[row:row + j1 - i])
                 row += j1 - i
-        for left, right, part in layout.products:
-            out = block[:part.stop - part.start].reshape(left.stop - left.start, -1)
-            np.matmul(zc[left], zc[right].T, out=out)
-            acc[part] += out.ravel()
         if cplx:
             M += x.conj() @ x.T
             P += x @ x.T
-            K += zc @ zc.conj().T
+            w = parts[:, :x.shape[1]]
+            np.copyto(w[:n_pairs], zc.real)
+            np.copyto(w[n_pairs:], zc.imag)
+            W += w @ w.T
         else:
+            for left, right, part in layout.products:
+                out = block[:part.stop - part.start].reshape(left.stop - left.start, -1)
+                np.matmul(zc[left], zc[right].T, out=out)
+                acc[part] += out.ravel()
             M += x @ x.T
+    if cplx:
+        aa, ab, bb = W[:n_pairs, :n_pairs], W[:n_pairs, n_pairs:], W[n_pairs:, n_pairs:]
+        zz = (aa - bb) + 1j * (ab + ab.T)
+        for left, right, part in layout.products:
+            acc[part] = zz[left, right].ravel()
     M, G = M / N, acc[layout.gather]
     G /= N
     if not cplx:
         return M, M, G, G
+    K = (aa + bb) + 1j * (ab.T - ab)
     return M, P / N, G, K[np.ix_(layout.order, layout.order)] / N
 
 

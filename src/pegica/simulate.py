@@ -10,10 +10,14 @@ maximum directional signal variance.
 Everything is a pure function of its parameters and a 64-bit seed.
 Independent streams are derived with ``numpy.random.SeedSequence`` spawn
 keys, one per (purpose, index), so trials can run in any order or in
-parallel without changing the draws.
+parallel without changing the draws.  :func:`draw_batch` uses that: the
+noise stream fills its buffer on a second thread while the sources are
+drawn, and since each stream writes only its own buffer, in its own fixed
+order, the batch is the same bit for bit as a serial draw.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,7 +281,11 @@ class GroundTruthModel:
 @dataclass(frozen=True)
 class DrawBatch:
     """Observed samples X (N-by-n) with the latent sources S (N-by-m)
-    retained for evaluation, plus the seed they were drawn from."""
+    retained for evaluation, plus the seed they were drawn from.
+
+    ``S`` is the transposed view of an m-by-N buffer, so it is F-ordered;
+    ``X`` is C-ordered.
+    """
 
     X: np.ndarray
     S: np.ndarray
@@ -318,24 +326,53 @@ def _noise_factor(Sigma):
     return eigvecs * np.sqrt(eigvals)
 
 
+def _fill_normal(rng, buffers, errors):
+    # thread body: fill each buffer in turn, keep any exception for the caller
+    try:
+        for buf in buffers:
+            rng.standard_normal(out=buf)
+    except BaseException as exc:
+        errors.append(exc)
+
+
 def draw_batch(model: GroundTruthModel, N, seed) -> DrawBatch:
     """Draw N samples from the model, keeping the latent sources.
 
     The batch is a pure function of (model, N, seed): sources and noise
     come from separate derived streams, so identical seeds give
-    bit-identical arrays.
+    bit-identical arrays.  A noisy model fills its noise on a second
+    thread (numpy's generators release the GIL while filling) into
+    buffers allocated here, while this thread draws and mixes the sources.
     """
     if N < 1:
         raise ValueError("N must be positive")
-    rng_s = stream(seed, "sources")
-    S = np.column_stack([spec.sample(N, rng_s) for spec in model.sources])
-    X = S @ model.A.T
-    if model.noise_power > 0:
-        rng_n = stream(seed, "noise")
+    rows = np.empty((model.m, N))
+    noisy = model.noise_power > 0
+    if noisy:
+        # real and imaginary parts are drawn one after the other
+        g = [np.empty((N, model.n)) for _ in range(2 if model.is_complex else 1)]
+        errors = []
+        filler = threading.Thread(target=_fill_normal, args=(stream(seed, "noise"), g, errors))
+        filler.start()
+    try:
+        rng_s = stream(seed, "sources")
+        for row, spec in zip(rows, model.sources):
+            row[:] = spec.sample(N, rng_s)
+        S = rows.T
+        X = S @ model.A.T
+    finally:
+        if noisy:
+            filler.join()
+    if noisy:
+        if errors:
+            raise errors[0]
         L = _noise_factor(model.Sigma)
         if model.is_complex:
-            g = rng_n.standard_normal((N, model.n)) + 1j * rng_n.standard_normal((N, model.n))
-            X = X + (g / math.sqrt(2.0)) @ L.T
+            noise = ((g[0] + 1j * g[1]) / math.sqrt(2.0)) @ L.T
         else:
-            X = X + rng_n.standard_normal((N, model.n)) @ L.T
+            noise = g[0] @ L.T
+        if noise.dtype == X.dtype:
+            X += noise
+        else:  # a real mixing matrix with a complex noise covariance
+            X = X + noise
     return DrawBatch(X=X, S=S, seed=int(seed))

@@ -71,3 +71,5 @@ def test_traced_tall_run_is_correct():
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True, proc.stderr
     assert result["attempted"] >= 1 and result["failed"] == 0
+    # the per-layer time that draw_batch speedups are judged by
+    assert result["metrics"]["simulate.draw_batch_s"]["value"] > 0
