@@ -23,7 +23,7 @@ for real data.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -79,8 +79,9 @@ class SampleSet:
             raise DimensionMismatchError("sample data must be a 2-D matrix")
         if raw.shape[0] < 2:
             raise InsufficientDataError(f"need at least 2 samples, got {raw.shape[0]}")
-        data = raw.astype(complex if np.iscomplexobj(raw) else float, copy=True)
-        data -= data.mean(axis=0, keepdims=True)
+        dtype = complex if np.iscomplexobj(raw) else float
+        mean = raw.mean(axis=0, keepdims=True, dtype=dtype)
+        data = np.subtract(raw, mean, out=np.empty_like(raw, dtype=dtype))
         object.__setattr__(self, "data", data)
 
     @property
@@ -94,6 +95,22 @@ class SampleSet:
     @property
     def is_complex(self):
         return np.iscomplexobj(self.data)
+
+    @cached_property
+    def cov(self):
+        """Sample covariance ``E[x x^H]`` (1/N convention), read-only.
+
+        Computed on first use and kept: the oracle built from these samples
+        and :func:`pegica.demix.sample_cov` share this one array.
+        """
+        return _covariance(self.data)
+
+
+def _covariance(X):
+    cov = (X.T @ X.conj()) / X.shape[0]
+    cov = 0.5 * (cov + cov.conj().T)
+    cov.flags.writeable = False
+    return cov
 
 
 def center(raw) -> SampleSet:
@@ -124,7 +141,8 @@ class CumulantOracle:
 
     ``CumulantOracle(samples)`` builds the tensors from the moments of one
     chunked pass over the samples (at most ``N P(P+1)/2`` multiply-adds,
-    fewer from n=24 on: see :func:`_pair_layout`); ``grad_f`` is then the
+    fewer at n = 7..11 and from n=24 on: see :func:`_pair_layout`) and from
+    their covariance :attr:`SampleSet.cov`; ``grad_f`` is then the
     exact gradient of the sample ``f`` and ``C`` the rescaled sum of its
     exact Hessians (of ``fstar``'s for complex data).  :meth:`from_mixing`
     and :meth:`from_model` build them exactly from a mixing matrix and the
@@ -137,9 +155,11 @@ class CumulantOracle:
             samples = center(samples)
         self.samples = samples
         self._index_pairs(samples.dim, samples.is_complex)
-        M, P, G, K = _pair_moments(samples.data)
-        S = M.conj()  # cov(X) = E[x x^H]
-        self._M = M
+        S = samples.cov  # E[x x^H]
+        P, G, K = _pair_moments(samples.data)
+        if P is None:
+            P = S
+        self._M = S.conj()
         self._cov_pinv = hermitian_pinv(S)[0]
         # subtract the Gaussian (Isserlis) part of the fourth moments once
         self._Q = G - self._isserlis(P, P, P)
@@ -322,15 +342,31 @@ class _PairLayout(NamedTuple):
 
 
 def _group_edges(n):
-    # cut points of the middle index: one group below n=24, then groups of
-    # 12 to 23 indices.  Narrower groups repeat fewer moments but make
-    # thinner GEMMs, which OpenBLAS on 2 cores ran at a fraction of the
-    # syrk's rate.  Timed at n = 2..48, no narrower width beat these by more
-    # than the run-to-run spread from n=12 on; below n=12 narrow groups won
-    # in some runs and lost in others, as the BLAS threaded the small
-    # products or not.  At n=24 two groups ran the `wide` benchmark about 8%
-    # faster than one syrk (lower in 17 of 20 alternating runs).
-    count = max(1, n // 12)
+    # cut points of the middle index: one group below n=7, ceil(n/3) groups
+    # of two or three indices from n=7 to 11, one group again from n=12 to
+    # 23, then groups of 12 to 23 indices.  Narrower groups repeat fewer
+    # moments but make thinner GEMMs, which OpenBLAS on 2 cores runs at a
+    # fraction of the syrk's rate.  Below n=12 the saved products win from
+    # n=7 on: at n=8 the groups [0, 3, 5, 8] take 477 products per row
+    # against the syrk's 666.  Build time of ceil(n/3) groups over one syrk
+    # at N=2e5 on 2 vCPUs, median of 7 alternating runs, and runs won:
+    #
+    #   n       3     4     5     6     7     8     9     10    11
+    #   ratio   0.97  1.02  0.93  1.08  0.88  0.67  0.88  0.76  0.85
+    #   won     4/7   2/7   5/7   0/7   7/7   7/7   7/7   7/7   7/7
+    #
+    # n=3 is one group either way, so its column shows the run-to-run
+    # spread, and n=5 won by less than its own (0.77 to 1.08).  At n=8 the
+    # ratio was 0.62 to 0.65 at N = 1e4, 1e5 and 1e6 (7 of 7 runs each).
+    # Timed at n = 12..48, no narrower width beat these by more than the
+    # spread.  At n=24 two groups ran the `wide` benchmark about 8% faster
+    # than one syrk (lower in 17 of 20 alternating runs).
+    if n < 7:
+        count = 1
+    elif n < 12:
+        count = -(-n // 3)
+    else:
+        count = n // 12
     return [round(k * n / count) for k in range(count + 1)]
 
 
@@ -360,8 +396,9 @@ def _pair_layout(n):
     distinct moments.  Quadruples with ``j`` and ``k`` in one group come
     out more than once; ``gather`` reads every entry of ``G`` from the
     first product holding its sorted quadruple, so equal moments are
-    bitwise equal.  With a single group the one product is ``z z^T``,
-    which numpy computes as a syrk.
+    bitwise equal; a layout whose products miss a moment raises
+    RuntimeError.  With a single group the one product is ``z z^T``, which
+    numpy computes as a syrk.
     """
     edges = _group_edges(n)
     pair_i, pair_j, groups = [], [], []
@@ -388,7 +425,11 @@ def _pair_layout(n):
     for lo in range(0, iu.size, 64):  # 64 rows at a time bounds the temporaries
         part = slice(lo, lo + 64)
         key = _quad_key(iu[part, None], ju[part, None], iu, ju, n)
-        gather[part] = first_seen[np.searchsorted(distinct, key)]
+        found = np.minimum(np.searchsorted(distinct, key), distinct.size - 1)
+        if not np.array_equal(distinct[found], key):
+            raise RuntimeError(f"the pair layout at n={n} computes no product for "
+                               "some fourth moment")
+        gather[part] = first_seen[found]
     row = np.empty((n, n), dtype=np.intp)
     row[pair_i, pair_j] = np.arange(pair_i.size)
     order = row[iu, ju]
@@ -399,10 +440,11 @@ def _pair_layout(n):
 def _pair_moments(X):
     """One chunked pass over centered samples ``X``.
 
-    Returns ``M = E[conj(x) x^T]``, ``P = E[x x^T]``, ``G = E[z z^T]`` and
-    ``K = E[z z^H]`` for the pair products ``z = x[iu] * x[ju]``,
-    ``iu, ju = np.triu_indices(n)``; for real data ``P`` is ``M`` and ``K``
-    is ``G``.  Each chunk's pair products are formed once, by broadcasting
+    Returns ``P = E[x x^T]``, ``G = E[z z^T]`` and ``K = E[z z^H]`` for the
+    pair products ``z = x[iu] * x[ju]``, ``iu, ju = np.triu_indices(n)``.
+    For real data ``P`` is None, because it is the covariance, which
+    :attr:`SampleSet.cov` computes once per sample set, and ``K`` is ``G``.
+    Each chunk's pair products are formed once, by broadcasting
     one row index against a run of others, in the block layout of
     :func:`_pair_layout`.  For real data ``G`` is accumulated as the
     layout's block products and expanded once at the end.  For complex
@@ -420,9 +462,8 @@ def _pair_moments(X):
     xt = np.empty((n, rows), dtype=X.dtype)
     z = np.empty((n_pairs, rows), dtype=X.dtype)
     acc = np.zeros(layout.size, dtype=X.dtype)
-    M = np.zeros((n, n), dtype=X.dtype)
     if cplx:
-        P = np.zeros_like(M)
+        P = np.zeros((n, n), dtype=X.dtype)
         parts = np.empty((2 * n_pairs, rows))  # [Re z; Im z]
         W = np.zeros((2 * n_pairs, 2 * n_pairs))
     else:
@@ -439,7 +480,6 @@ def _pair_moments(X):
                 np.multiply(x[i], x[i:j1], out=zc[row:row + j1 - i])
                 row += j1 - i
         if cplx:
-            M += x.conj() @ x.T
             P += x @ x.T
             w = parts[:, :x.shape[1]]
             np.copyto(w[:n_pairs], zc.real)
@@ -450,18 +490,17 @@ def _pair_moments(X):
                 out = block[:part.stop - part.start].reshape(left.stop - left.start, -1)
                 np.matmul(zc[left], zc[right].T, out=out)
                 acc[part] += out.ravel()
-            M += x @ x.T
     if cplx:
         aa, ab, bb = W[:n_pairs, :n_pairs], W[:n_pairs, n_pairs:], W[n_pairs:, n_pairs:]
         zz = (aa - bb) + 1j * (ab + ab.T)
         for left, right, part in layout.products:
             acc[part] = zz[left, right].ravel()
-    M, G = M / N, acc[layout.gather]
+    G = acc[layout.gather]
     G /= N
     if not cplx:
-        return M, M, G, G
+        return None, G, G
     K = (aa + bb) + 1j * (ab.T - ab)
-    return M, P / N, G, K[np.ix_(layout.order, layout.order)] / N
+    return P / N, G, K[np.ix_(layout.order, layout.order)] / N
 
 
 @dataclass(frozen=True)

@@ -53,12 +53,14 @@ class DemixMatrix:
 
 
 def sample_cov(samples: SampleSet):
-    """Sample covariance ``E[x x^H]`` of centered samples (1/N convention)."""
+    """Sample covariance ``E[x x^H]`` of centered samples (1/N convention).
+
+    Returns the read-only :attr:`SampleSet.cov`, computed once per sample
+    set and shared with the oracle built from it.
+    """
     if not isinstance(samples, SampleSet):
         raise DimensionMismatchError("sample_cov expects a SampleSet")
-    X = samples.data
-    cov = (X.T @ X.conj()) / samples.n_samples
-    return 0.5 * (cov + cov.conj().T)
+    return samples.cov
 
 
 def analytic_cov(model):

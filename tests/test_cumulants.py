@@ -1,5 +1,7 @@
 """Cumulant estimators, oracles and the pseudo-Euclidean metric."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,11 @@ from pegica import (
     build_C,
     center,
     draw_batch,
+    sample_cov,
 )
-from pegica.cumulants import _chunk_rows, _pair_moments
+from pegica import cumulants
+from pegica.cumulants import _chunk_rows, _pair_layout, _pair_moments
+from pegica.linalg import hermitian_pinv
 from pegica.errors import DimensionMismatchError, InsufficientDataError
 from conftest import fd_gradient, make_test_model
 from per_sample_oracle import PerSampleOracle
@@ -382,14 +387,17 @@ def _dense_moments(X):
     N = X.shape[0]
     iu, ju = np.triu_indices(X.shape[1])
     z = X[:, iu] * X[:, ju]
-    return X.conj().T @ X / N, X.T @ X / N, z.T @ z / N, z.T @ z.conj() / N
+    return X.T @ X / N, z.T @ z / N, z.T @ z.conj() / N
+
+
+def _quadruple_codes(n, i, j, k, l):
+    quads = np.sort(np.stack(np.broadcast_arrays(i, j, k, l)), axis=0)
+    return np.ravel_multi_index(tuple(quads), (n,) * 4)
 
 
 def _sorted_quadruples(n):
     iu, ju = np.triu_indices(n)
-    quads = np.sort(np.stack(np.broadcast_arrays(
-        iu[:, None], ju[:, None], iu[None, :], ju[None, :])), axis=0)
-    return np.ravel_multi_index(tuple(quads), (n,) * 4).ravel()
+    return _quadruple_codes(n, iu[:, None], ju[:, None], iu[None, :], ju[None, :]).ravel()
 
 
 def _samples(N, n, complex_field, seed=5):
@@ -401,29 +409,35 @@ def _samples(N, n, complex_field, seed=5):
 class TestPairMoments:
     """The one-pass moment kernel against dense products of the same data.
 
-    n=24 cuts the middle index into two groups of 12, n=37 into groups of
-    12, 13 and 12 (and its complex chunks sit at the 256-row floor); N sits
-    on and around the chunk boundary.
+    n=7 to 11 cut the middle index into groups of about three (n=8 into
+    [0, 3, 5, 8]), n=24 into two groups of 12, n=37 into groups of 12, 13
+    and 12 (and its complex chunks sit at the 256-row floor); N sits on and
+    around the chunk boundary.
     """
 
     @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("edge", ["two", "rows_minus_one", "rows", "two_rows_plus_one"])
-    @pytest.mark.parametrize("n", [1, 2, 5, 8, 24, 37])
+    @pytest.mark.parametrize("n", [1, 2, 5, 7, 8, 9, 10, 11, 24, 37])
     def test_matches_dense_products(self, n, edge, complex_field):
         rows = _chunk_rows(n * (n + 1) // 2, 16 if complex_field else 8)
         N = {"two": 2, "rows_minus_one": rows - 1, "rows": rows,
              "two_rows_plus_one": 2 * rows + 1}[edge]
         X = _samples(N, n, complex_field)
+        P, G, K = _pair_moments(X)
+        # for real data P is the covariance, which the pass leaves to SampleSet
+        assert (P is None) == (not complex_field)
         # relative to the moments of |x|, which bound every sum's terms
         scales = _dense_moments(np.abs(X))
-        for value, reference, scale in zip(_pair_moments(X), _dense_moments(X), scales):
+        for value, reference, scale in zip((P, G, K), _dense_moments(X), scales):
+            if value is None:
+                continue
             assert value.shape == reference.shape
             assert np.max(np.abs(value - reference)) <= 1e-13 * np.max(scale)
 
     @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
-    @pytest.mark.parametrize("n", [5, 24, 37])
+    @pytest.mark.parametrize("n", [5, 7, 8, 9, 10, 11, 24, 37])
     def test_equal_moments_are_bitwise_equal(self, n, complex_field):
-        G = _pair_moments(_samples(3001, n, complex_field))[2].ravel()
+        G = _pair_moments(_samples(3001, n, complex_field))[1].ravel()
         _, first, which = np.unique(_sorted_quadruples(n), return_index=True, return_inverse=True)
         assert np.array_equal(G, G[first[which]])
 
@@ -431,4 +445,55 @@ class TestPairMoments:
     def test_rebuild_is_bitwise_identical(self, complex_field):
         X = _samples(5000, 24, complex_field)
         for first, second in zip(_pair_moments(X), _pair_moments(X.copy())):
-            assert np.array_equal(first, second)
+            assert (first is None and second is None) or np.array_equal(first, second)
+
+
+class TestPairLayout:
+    @pytest.mark.parametrize("n", list(range(1, 27)) + [37, 48])
+    def test_every_distinct_moment_is_computed(self, n):
+        layout = _pair_layout(n)
+        iu, ju = np.triu_indices(n)
+        # the pair held in each buffer row, and the sorted quadruple of
+        # every accumulator entry, from the layout's own products
+        held = np.empty(iu.size, dtype=np.intp)
+        held[layout.order] = np.arange(iu.size)
+        acc = np.empty(layout.size, dtype=np.int64)
+        for left, right, part in layout.products:
+            a, b = held[left][:, None], held[right][None, :]
+            acc[part] = _quadruple_codes(n, iu[a], ju[a], iu[b], ju[b]).ravel()
+        # every entry of G reads a product of its own quadruple
+        assert np.array_equal(acc[layout.gather].ravel(), _sorted_quadruples(n))
+        assert np.unique(acc).size == np.unique(layout.gather).size == comb(n + 3, 4)
+
+    def test_a_missing_moment_is_refused(self, monkeypatch):
+        # groups that stop short of the last middle index miss its moments
+        monkeypatch.setattr(cumulants, "_group_edges", lambda n: [0, n - 1])
+        with pytest.raises(RuntimeError, match="n=5"):
+            _pair_layout.__wrapped__(5)
+
+
+class TestCovariance:
+    @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+    def test_one_covariance_per_sample_set(self, complex_field, monkeypatch):
+        calls, covariance = [], cumulants._covariance
+
+        def spy(X):
+            calls.append(X)
+            return covariance(X)
+
+        monkeypatch.setattr(cumulants, "_covariance", spy)
+        samples = SampleSet(_samples(3000, 4, complex_field) + 2.0)
+        oracle = CumulantOracle(samples)
+        cov = sample_cov(samples)
+        assert sample_cov(samples) is cov and samples.cov is cov
+        assert len(calls) == 1 and calls[0] is samples.data
+        # the oracle was built from this very covariance
+        assert np.array_equal(oracle._M, cov.conj())
+        assert np.array_equal(oracle._cov_pinv, hermitian_pinv(cov)[0])
+        X = samples.data
+        reference = X.T @ X.conj() / X.shape[0]
+        assert np.array_equal(cov, 0.5 * (reference + reference.conj().T))
+        with pytest.raises(ValueError):
+            cov[0, 0] = 1.0
+        # a new sample set computes its own
+        assert sample_cov(SampleSet(X)) is not cov and len(calls) == 2

@@ -27,11 +27,9 @@ from per_sample_oracle import PerSampleOracle
 RTOL = 1e-10
 N_DIM = 5
 FUNCTIONALS = ("f", "fstar", "grad_f", "kurtosis_z_score", "source_z_score")
-
-
-def _rows_per_chunk(complex_field):
-    # the moment pass's own chunk rule, so N straddles its chunk boundaries
-    return _chunk_rows(N_DIM * (N_DIM + 1) // 2, 16 if complex_field else 8)
+COMPLEX = pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+# N = 2 (the smallest sample), below one chunk, and one row past two chunks
+EDGES = pytest.mark.parametrize("edge", ["two", "below_chunk", "chunks_plus_one"])
 
 
 def _assert_close(value, reference):
@@ -41,40 +39,61 @@ def _assert_close(value, reference):
     assert np.max(np.abs(value - reference)) <= RTOL * scale
 
 
-def _oracles(N, complex_field):
-    model = make_test_model(n=N_DIM, noise_power=0.1, seed=41, complex_phases=complex_field)
+def _oracles(n, N, complex_field):
+    model = make_test_model(n=n, noise_power=0.1, seed=41, complex_phases=complex_field)
     samples = center(draw_batch(model, N, seed=42).X)
     return CumulantOracle(samples), PerSampleOracle(samples)
 
 
-# N = 2 (the smallest sample), below one chunk, and one row past two chunks
-@pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
-@pytest.mark.parametrize("edge", ["two", "below_chunk", "chunks_plus_one"])
-def test_functionals_match_per_sample_formulas(edge, complex_field, rng):
-    rows = _rows_per_chunk(complex_field)
+def _check_functionals(n, edge, complex_field, rng):
+    # the moment pass's own chunk rule, so N straddles its chunk boundaries
+    rows = _chunk_rows(n * (n + 1) // 2, 16 if complex_field else 8)
     N = {"two": 2, "below_chunk": rows // 3, "chunks_plus_one": 2 * rows + 1}[edge]
-    oracle, reference = _oracles(N, complex_field)
+    oracle, reference = _oracles(n, N, complex_field)
     assert oracle.is_complex == complex_field
     _assert_close(oracle.build_C_matrix(), reference.build_C_matrix())
     for _ in range(4):
-        u = rng.standard_normal(N_DIM)
+        u = rng.standard_normal(n)
         if complex_field:
-            u = u + 1j * rng.standard_normal(N_DIM)
+            u = u + 1j * rng.standard_normal(n)
         for name in FUNCTIONALS:
             _assert_close(getattr(oracle, name)(u), getattr(reference, name)(u))
 
 
-@pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
-def test_pegi_full_matches_reference_estimate(complex_field):
+def _check_estimate(n, complex_field):
     # same starts, same gate decisions: the columns differ only by the
     # oracles' rounding, far below a microdegree
-    oracle, reference = _oracles(100_000, complex_field)
+    oracle, reference = _oracles(n, 100_000, complex_field)
     cfg = IterationConfig(epsilon=1e-9, rng_seed=3)
-    est = pegi_full(build_C(oracle), oracle, N_DIM, cfg)
-    ref = pegi_full(build_C(reference), reference, N_DIM, cfg)
+    est = pegi_full(build_C(oracle), oracle, n, cfg)
+    ref = pegi_full(build_C(reference), reference, n, cfg)
     perm, _, angles = match_columns(est.A_hat, ref.A_hat)
-    assert list(perm) == list(range(N_DIM))
+    assert list(perm) == list(range(n))
     assert np.max(angles) <= 1e-6  # degrees
+
+
+@COMPLEX
+@EDGES
+def test_functionals_match_per_sample_formulas(edge, complex_field, rng):
+    _check_functionals(N_DIM, edge, complex_field, rng)
+
+
+# n=8 is the size of the tall, sweep and cli_chain benchmarks, and the
+# moment pass cuts its middle index into three groups
+@COMPLEX
+@EDGES
+def test_functionals_match_per_sample_formulas_at_n8(edge, complex_field, rng):
+    _check_functionals(8, edge, complex_field, rng)
+
+
+@COMPLEX
+def test_pegi_full_matches_reference_estimate(complex_field):
+    _check_estimate(N_DIM, complex_field)
+
+
+@COMPLEX
+def test_pegi_full_matches_reference_estimate_at_n8(complex_field):
+    _check_estimate(8, complex_field)
 
 
 class ClosedFormOracle:
