@@ -50,21 +50,19 @@ __all__ = [
     "BENCHMARK_HEADER",
 ]
 
-ALGORITHMS = ("pegi_sinr", "pegi_pinv", "oracle_ainv", "oracle_sinropt")
+# algorithm -> demixer B from (model, samples, estimated columns); the
+# pegi_* ones demix with the cell's estimate, the oracle_* ones with the truth
+DEMIXERS = {
+    "pegi_sinr": lambda model, samples, A_hat: dx.sinr_optimal_demix(
+        A_hat, dx.sample_cov(samples)).B,
+    "pegi_pinv": lambda model, samples, A_hat: dx.pinv_demix(A_hat).B,
+    "oracle_ainv": lambda model, samples, A_hat: dx.pinv_demix(model.A).B,
+    "oracle_sinropt": lambda model, samples, A_hat: dx.sinr_optimal_demix(
+        model.A, dx.analytic_cov(model)).B,
+}
+ALGORITHMS = tuple(DEMIXERS)
+_ESTIMATED = frozenset(a for a in ALGORITHMS if a.startswith("pegi_"))
 PANELS = {"paper": default_source_panel, "finite_k4": finite_kurtosis_panel}
-
-BENCHMARK_HEADER = (
-    "algorithm",
-    "N",
-    "p",
-    "trial",
-    "seed",
-    "mean_sinr_db",
-    "mean_sinr_loss_db",
-    "max_column_angle_deg",
-    "runtime_ms",
-    "status",
-)
 
 
 @dataclass(frozen=True)
@@ -114,21 +112,12 @@ class BenchmarkRow:
     status: str = "ok"
 
     def as_csv_cells(self):
-        def num(x):
-            return repr(float(x))
+        values = (getattr(self, f.name) for f in fields(self))
+        return tuple(repr(float(v)) if f.type is float else str(v)
+                     for f, v in zip(fields(self), values))
 
-        return (
-            self.algorithm,
-            str(self.N),
-            repr(float(self.p)),
-            str(self.trial),
-            str(self.seed),
-            num(self.mean_sinr_db),
-            num(self.mean_sinr_loss_db),
-            num(self.max_column_angle_deg),
-            num(self.runtime_ms),
-            self.status,
-        )
+
+BENCHMARK_HEADER = tuple(f.name for f in fields(BenchmarkRow))
 
 
 def _trial_seed(master_seed, trial):
@@ -159,19 +148,8 @@ def run_trial(model, X_samples, algorithm, matched=None):
     underlying error on failure; the sweep wrapper converts those into
     status rows.
     """
-    perm, max_angle = None, 0.0
-    if algorithm.startswith("pegi"):
-        A_hat, perm, max_angle = matched
-        if algorithm == "pegi_sinr":
-            B = dx.sinr_optimal_demix(A_hat, dx.sample_cov(X_samples)).B
-        else:
-            B = dx.pinv_demix(A_hat).B
-    elif algorithm == "oracle_ainv":
-        B = dx.pinv_demix(model.A).B
-    elif algorithm == "oracle_sinropt":
-        B = dx.sinr_optimal_demix(model.A, dx.analytic_cov(model)).B
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    A_hat, perm, max_angle = matched if algorithm in _ESTIMATED else (None, None, 0.0)
+    B = DEMIXERS[algorithm](model, X_samples, A_hat)
     sinr, loss_db = dx.sinr_loss(B, model, perm)
     return float(np.array([to_db(s) for s in sinr]).mean()), float(loss_db.mean()), max_angle
 
@@ -201,7 +179,7 @@ def run_benchmark(config: RunConfig):
         return (time.perf_counter() - start) * 1e3 if config.timing else 0.0
 
     rows = []
-    estimates = any(a.startswith("pegi") for a in config.algorithms)
+    estimates = not _ESTIMATED.isdisjoint(config.algorithms)
     for trial in range(config.trials):
         seed = _trial_seed(config.seed, trial)
         panel = PANELS[config.panel](config.m)
@@ -223,7 +201,7 @@ def run_benchmark(config: RunConfig):
                     est_ms = ms_since(start)
                 for algorithm in config.algorithms:
                     start = time.perf_counter()
-                    pegi = algorithm.startswith("pegi")
+                    pegi = algorithm in _ESTIMATED
                     if pegi and matched is None:
                         values, status = None, est_status
                     else:
@@ -286,21 +264,8 @@ def read_benchmark_csv(path):
     header, raw = read_table(path)
     if tuple(header) != BENCHMARK_HEADER:
         raise ValueError(f"{path}: unexpected benchmark header {header}")
-    rows = []
-    for cells in raw:
-        rows.append(BenchmarkRow(
-            algorithm=cells[0],
-            N=int(cells[1]),
-            p=float(cells[2]),
-            trial=cells[3],
-            seed=cells[4],
-            mean_sinr_db=float(cells[5]),
-            mean_sinr_loss_db=float(cells[6]),
-            max_column_angle_deg=float(cells[7]),
-            runtime_ms=float(cells[8]),
-            status=cells[9],
-        ))
-    return rows
+    return [BenchmarkRow(*(f.type(c) for f, c in zip(fields(BenchmarkRow), cells)))
+            for cells in raw]
 
 
 def summarize(rows):
@@ -321,36 +286,33 @@ def summarize(rows):
     return header, out
 
 
+def _parse_value(value, default):
+    # ``value`` as the type of ``default``; tuples take comma lists
+    if isinstance(default, tuple):
+        if isinstance(value, str):
+            value = [v for v in value.split(",") if v]
+        kind = type(default[0])
+        # N values may be written like 2e3
+        element = {int: lambda v: int(float(v)), str: lambda v: str(v).strip()}.get(kind, kind)
+        return tuple(element(v) for v in value)
+    if isinstance(default, bool) and isinstance(value, str):
+        return value.strip().lower() in ("1", "true", "yes", "on")
+    return type(default)(value)
+
+
 def config_from_mapping(mapping, base: RunConfig = None):
     """Build a RunConfig from string key=value pairs (config file or flags).
 
-    List-valued keys use comma syntax, e.g. ``samples=10000,100000``.
+    Keys are RunConfig's field names; each value takes the type of the
+    field's default, and tuple fields use comma syntax, e.g.
+    ``samples=10000,100000``.
     """
-    base = base or RunConfig()
+    defaults = {f.name: f.default for f in fields(RunConfig)}
     kwargs = {}
-    valid = {f.name for f in fields(RunConfig)}
     for key, value in mapping.items():
         if value is None:
             continue
-        if key not in valid:
+        if key not in defaults:
             raise ValueError(f"unknown config key {key!r}")
-        if key in ("samples", "noise_powers", "algorithms"):
-            if isinstance(value, str):
-                value = [v for v in value.split(",") if v]
-            if key == "samples":
-                value = tuple(int(float(v)) for v in value)
-            elif key == "noise_powers":
-                value = tuple(float(v) for v in value)
-            else:
-                value = tuple(str(v).strip() for v in value)
-        elif key in ("n", "m", "trials", "seed", "max_iters", "max_restarts"):
-            value = int(value)
-        elif key in ("epsilon", "cond"):
-            value = float(value)
-        elif key == "timing":
-            if isinstance(value, str):
-                value = value.strip().lower() in ("1", "true", "yes", "on")
-        else:
-            value = str(value)
-        kwargs[key] = value
-    return replace(base, **kwargs)
+        kwargs[key] = _parse_value(value, defaults[key])
+    return replace(base or RunConfig(), **kwargs)

@@ -19,6 +19,7 @@ falling back to the current directory.  All files are plain text; see
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -140,12 +141,6 @@ def cmd_estimate(args):
         return EXIT_USAGE
     oracle = CumulantOracle(samples)
     metric = build_C(oracle)
-    if metric.rank < args.m:
-        print(
-            f"diagnostic: cumulant metric rank {metric.rank} < m={args.m} "
-            "(rank-deficient fourth-cumulant signal)",
-            file=sys.stderr,
-        )
     cfg = IterationConfig(
         epsilon=args.epsilon, max_iters=args.max_iters,
         max_restarts=args.max_restarts, rng_seed=args.seed,
@@ -225,18 +220,10 @@ def cmd_demix(args):
 
 
 def _config_from_args(args):
-    mapping = {}
-    if args.config:
-        mapping.update(read_keyvalues(args.config))
-    cli = {
-        "n": args.n, "m": args.m, "samples": args.samples,
-        "noise_powers": args.noise_power, "trials": args.trials,
-        "seed": args.seed, "panel": args.panel, "cond": args.cond,
-        "algorithms": args.algo, "epsilon": args.epsilon,
-        "max_iters": args.max_iters, "max_restarts": args.max_restarts,
-        "timing": ("false" if args.no_timing else None),
-    }
-    mapping.update({k: v for k, v in cli.items() if v is not None})
+    # each benchmark flag stores into the RunConfig field it sets; flags win
+    mapping = read_keyvalues(args.config) if args.config else {}
+    mapping.update({f.name: v for f in fields(RunConfig)
+                    if (v := getattr(args, f.name)) is not None})
     return config_from_mapping(mapping)
 
 
@@ -309,15 +296,17 @@ def build_parser():
     ben.add_argument("--m", type=int, default=None)
     ben.add_argument("--cond", type=float, default=None)
     ben.add_argument("--samples", type=str, default=None, help="comma list of N values")
-    ben.add_argument("--noise-power", type=str, default=None, help="comma list of p values")
+    ben.add_argument("--noise-power", dest="noise_powers", type=str, default=None,
+                     help="comma list of p values")
     ben.add_argument("--trials", type=int, default=None)
     ben.add_argument("--seed", type=int, default=None)
     ben.add_argument("--panel", type=str, default=None)
-    ben.add_argument("--algo", type=str, default=None, help="comma list of algorithms")
+    ben.add_argument("--algo", dest="algorithms", type=str, default=None,
+                     help="comma list of algorithms")
     ben.add_argument("--epsilon", type=float, default=None)
     ben.add_argument("--max-iters", type=int, default=None)
     ben.add_argument("--max-restarts", type=int, default=None)
-    ben.add_argument("--no-timing", action="store_true",
+    ben.add_argument("--no-timing", dest="timing", action="store_const", const="false",
                      help="write zero runtimes so output is byte-reproducible")
     ben.add_argument("--out", type=str, default=None)
     ben.set_defaults(func=cmd_benchmark)

@@ -528,7 +528,7 @@ class PseudoMetric:
         return np.iscomplexobj(self.C)
 
 
-def build_C(oracle: CumulantOracle, rtol=None) -> PseudoMetric:
+def build_C(oracle: CumulantOracle) -> PseudoMetric:
     """Assemble the pseudo-Euclidean metric from the oracle's ``C``.
 
     ``C`` sums the rescaled Hessians at the coordinate directions (see
@@ -540,5 +540,5 @@ def build_C(oracle: CumulantOracle, rtol=None) -> PseudoMetric:
     against it; see :func:`pegica.recovery.pegi_full`.
     """
     C = oracle.build_C_matrix()
-    C_pinv, rank, eigvals = hermitian_pinv(C, rtol=rtol)
+    C_pinv, rank, eigvals = hermitian_pinv(C)
     return PseudoMetric(C=C, C_pinv=C_pinv, rank=rank, eigvals=eigvals)

@@ -79,9 +79,6 @@ def sinr_optimal_demix(A_hat, cov_X) -> DemixMatrix:
     cov_X = np.asarray(cov_X)
     if cov_X.shape != (A_hat.shape[0],) * 2:
         raise DimensionMismatchError("covariance shape does not match A_hat")
-    scale = np.linalg.norm(cov_X)
-    if scale > 0 and np.linalg.norm(cov_X - cov_X.conj().T) > 1e-8 * scale:
-        raise ValueError("covariance must be Hermitian")
     cov_pinv, _, _ = hermitian_pinv(cov_X)
     return DemixMatrix(B=A_hat.conj().T @ cov_pinv)
 

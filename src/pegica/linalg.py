@@ -12,6 +12,7 @@ Conventions used throughout the package:
 import numpy as np
 
 DB_CAP = 300.0
+_EPS = np.finfo(float).eps
 
 
 def unit(v):
@@ -51,12 +52,11 @@ def vector_angle_deg(u, v):
     return float(np.degrees(vector_angle(u, v)))
 
 
-def hermitian_pinv(C, rtol=None):
+def hermitian_pinv(C):
     """Moore-Penrose pseudoinverse of a Hermitian matrix via eigendecomposition.
 
     Indefinite matrices are fine: eigenvalues whose magnitude falls below
-    ``rtol * max(|eigenvalue|)`` are truncated.  Default ``rtol`` is
-    ``n * eps``.
+    ``n * eps * max(|eigenvalue|)`` are truncated.
 
     Returns
     -------
@@ -76,10 +76,8 @@ def hermitian_pinv(C, rtol=None):
     if scale > 0 and herm_defect > 1e-8 * scale:
         raise ValueError("matrix is not Hermitian to working precision")
     C = 0.5 * (C + C.conj().T)
-    if rtol is None:
-        rtol = n * np.finfo(float).eps
     eigvals, eigvecs = np.linalg.eigh(C)
-    cutoff = rtol * np.max(np.abs(eigvals), initial=0.0)
+    cutoff = n * _EPS * np.max(np.abs(eigvals), initial=0.0)
     keep = np.abs(eigvals) > cutoff
     inv_vals = np.zeros_like(eigvals)
     inv_vals[keep] = 1.0 / eigvals[keep]
@@ -89,8 +87,8 @@ def hermitian_pinv(C, rtol=None):
     return pinv, int(np.count_nonzero(keep)), eigvals
 
 
-def to_db(x, cap=DB_CAP):
-    """Convert a power ratio to decibels, clipped to ``[-cap, cap]``.
+def to_db(x):
+    """Convert a power ratio to decibels, clipped to ``[-DB_CAP, DB_CAP]``.
 
     Infinite ratios (perfect isolation in a noise-free model) map to the
     cap so downstream CSV output stays finite.
@@ -99,7 +97,7 @@ def to_db(x, cap=DB_CAP):
     if np.isnan(x):
         return float("nan")
     if x == np.inf:
-        return cap
+        return DB_CAP
     if x <= 0.0:
-        return -cap
-    return float(np.clip(10.0 * np.log10(x), -cap, cap))
+        return -DB_CAP
+    return float(np.clip(10.0 * np.log10(x), -DB_CAP, DB_CAP))

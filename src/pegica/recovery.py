@@ -43,6 +43,9 @@ __all__ = [
 
 _GRAD_FLOOR = 1e-12
 _ROW_DENOM_FLOOR = 1e-10
+_DEFLATE_PASSES = 4
+# standard errors by which a sample-built source's kurtosis must clear zero
+_MIN_KURTOSIS_Z = 5.0
 
 
 @dataclass(frozen=True)
@@ -61,15 +64,12 @@ class IterationConfig:
     max_iters: int = 100
     max_restarts: int = 10
     rng_seed: int = 0
-    min_kurtosis_z: float = 5.0
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
         if self.max_iters < 1 or self.max_restarts < 1:
             raise ValueError("max_iters and max_restarts must be >= 1")
-        if self.min_kurtosis_z < 0:
-            raise ValueError("min_kurtosis_z must be >= 0")
 
 
 @dataclass
@@ -159,7 +159,7 @@ def converged_up_to_phase(u_new, u_old, epsilon):
     return residual < epsilon, residual
 
 
-def deflate(u, est: MixingEstimate, passes=4):
+def deflate(u, est: MixingEstimate):
     """Remove the components of ``u`` along already-recovered columns.
 
     Computes ``u - A_hat (B_hat u)``.  Because each stored row is the
@@ -177,7 +177,7 @@ def deflate(u, est: MixingEstimate, passes=4):
     remaining fixed points.
     """
     scale = np.linalg.norm(u)
-    for _ in range(passes):
+    for _ in range(_DEFLATE_PASSES):
         coeffs = est.B_hat @ u
         u = u - est.A_hat @ coeffs
         if np.linalg.norm(coeffs) <= 1e-9 * (scale + np.linalg.norm(u)):
@@ -278,7 +278,7 @@ def pegi_full(metric: PseudoMetric, oracle: CumulantOracle, m,
     ill-conditioned row estimate, or (for sample-built oracles) a converged
     column whose source — the projection on the SINR-optimal demixing
     direction ``cov(X)^+ column`` — has a kurtosis statistically
-    indistinguishable from Gaussian sampling noise (``cfg.min_kurtosis_z``
+    indistinguishable from Gaussian sampling noise (``_MIN_KURTOSIS_Z``
     standard errors).  The empirical landscape has such spurious fixed
     points when a source is Gaussian or its fourth cumulant sits below
     the noise floor.
@@ -312,10 +312,9 @@ def pegi_full(metric: PseudoMetric, oracle: CumulantOracle, m,
                 row = recover_row_pinv(metric, column)
             except (ConvergenceError, DegenerateDirectionError, IllConditionedRowError):
                 continue
-            if cfg.min_kurtosis_z > 0:
-                z = oracle.source_z_score(column)
-                if z is not None and z < cfg.min_kurtosis_z:
-                    continue
+            z = oracle.source_z_score(column)
+            if z is not None and z < _MIN_KURTOSIS_Z:
+                continue
             est.add(column, row)
             found = True
             break

@@ -145,13 +145,8 @@ _PAPER_FAMILIES = (
     "uniform",
 )
 
-_FINITE_K4_FAMILIES = (
-    "laplace",
-    "bernoulli(0.05)",
-    "bernoulli(0.5)",
-    "student_t(5)",
-    "exponential",
-    "uniform",
+_FINITE_K4_FAMILIES = tuple(
+    t for t in _PAPER_FAMILIES if source_spec(t).kappa4_closed_form is not None
 )
 
 

@@ -20,6 +20,7 @@ from pegica import (
 )
 from pegica.benchmark import (
     BENCHMARK_HEADER,
+    BenchmarkRow,
     RunConfig,
     config_from_mapping,
     read_benchmark_csv,
@@ -65,6 +66,21 @@ class TestRunConfig:
         assert cfg.trials == 3
         assert cfg.epsilon == 1e-5
         assert cfg.timing is False
+        cfg = config_from_mapping({
+            "samples": "2e3,4000",
+            "algorithms": " oracle_ainv, pegi_sinr",
+            "timing": "no",
+            "n": "4",
+            "cond": "2.5",
+        })
+        assert cfg.samples == (2000, 4000)
+        assert cfg.algorithms == ("oracle_ainv", "pegi_sinr")
+        assert cfg.timing is False
+        assert cfg.n == 4 and type(cfg.n) is int
+        assert cfg.cond == 2.5
+        # flags arrive as already-typed values and win over the base
+        cfg = config_from_mapping({"trials": 2, "timing": None}, base=cfg)
+        assert (cfg.trials, cfg.n, cfg.timing) == (2, 4, False)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
@@ -153,6 +169,19 @@ class TestRunBenchmark:
     def test_header_stable(self):
         assert BENCHMARK_HEADER[0] == "algorithm"
         assert "status" in BENCHMARK_HEADER
+
+    def test_row_cells_pinned(self):
+        row = BenchmarkRow("pegi_sinr", 3000, 0.1, "2", "123", 1, -0.5, float("nan"), 0.0,
+                           "partial")
+        assert row.as_csv_cells() == ("pegi_sinr", "3000", "0.1", "2", "123", "1.0", "-0.5",
+                                      "nan", "0.0", "partial")
+
+    def test_read_rows_carry_field_types(self, tmp_path):
+        path = tmp_path / "bench.csv"
+        write_benchmark_csv(path, run_benchmark(_tiny_config()))
+        row = read_benchmark_csv(path)[0]
+        assert [type(getattr(row, name)) for name in BENCHMARK_HEADER] == [
+            str, int, float, str, str, float, float, float, float, str]
 
 
 class TestSharedEstimate:

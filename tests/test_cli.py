@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: files, exit codes, pipeline coherence."""
 
+import argparse
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,7 +17,8 @@ from pegica import (
     sample_cov,
     sinr_optimal_demix,
 )
-from pegica.cli import main
+from pegica.benchmark import RunConfig
+from pegica.cli import build_parser, main
 from pegica.matio import parse_matrix_csv, read_keyvalues, read_table, write_matrix_csv
 
 
@@ -87,6 +90,16 @@ class TestEstimate:
         meta = read_keyvalues(out / "estimate.txt")
         assert meta["columns_found"] == "0"
         assert meta["status"] == "partial"
+
+    def test_rank_deficient_metric_named_once(self, tmp_path, capsys):
+        # three sources in four channels without noise: the metric has rank 3
+        sim = tmp_path / "sim"
+        run_cli("simulate", "--n", 4, "--m", 3, "--noise-power", 0, "--samples", 20000,
+                "--seed", 1, "--out", sim)
+        capsys.readouterr()
+        code = run_cli("estimate", sim / "X.csv", "--m", 4, "--out", tmp_path / "est")
+        assert code == 5
+        assert capsys.readouterr().err.count("rank 3 < m=4") == 1
 
     def test_unparseable_samples_exit(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -185,6 +198,15 @@ class TestDemix:
 
 
 class TestBenchmarkCommand:
+    def test_every_config_field_has_a_flag_of_its_name(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {a.dest: a.option_strings for a in sub.choices["benchmark"]._actions}
+        assert {f.name for f in fields(RunConfig)} <= set(flags)
+        assert flags["noise_powers"] == ["--noise-power"]
+        assert flags["algorithms"] == ["--algo"]
+        assert flags["timing"] == ["--no-timing"]
+
     def test_tiny_sweep_row_counts(self, tmp_path):
         out = tmp_path / "ben"
         code = run_cli(
