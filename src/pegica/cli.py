@@ -42,7 +42,7 @@ from .errors import (
     PartialRecoveryError,
     PegicaError,
 )
-from .linalg import to_db
+from .linalg import hermitian_pinv, to_db
 from .matio import (
     format_value,
     parse_matrix_csv,
@@ -179,7 +179,8 @@ def cmd_demix(args):
     samples = center(X)
     if args.mode == "sinr_opt":
         cov = dx.sample_cov(samples)
-        rank = int(np.linalg.matrix_rank(cov))
+        # the demixer's own truncation rule decides the rank
+        rank = hermitian_pinv(cov)[1]
         if rank < cov.shape[0]:
             print(
                 f"diagnostic: sample covariance is singular (rank {rank}); "

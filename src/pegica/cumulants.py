@@ -47,14 +47,39 @@ __all__ = [
 # The oracle's pass over the samples forms one chunk's pair products at a
 # time, in a P x rows buffer reused across chunks.  Every chunk costs a
 # fixed number of numpy and BLAS calls and one add of its block products
-# into the accumulator, so chunks are sized in rows from P: the buffer is
-# held to about 2 MB (873 rows at n=24, 7281 at n=8), because it adds to
-# the peak memory of the pass one for one (4 MB buffers built n=24 about
-# 5% faster and raised the peak by 1.4%), but never to fewer than 256
-# rows, below which the per-chunk work outgrows the products (1 MB chunks
-# of 111 rows spent about a fifth of the n=48 pass on accumulator adds).
+# into the accumulator, so chunks are sized in rows from P and the item
+# size of the working dtype: the buffer is held to about 2 MB (873 float64
+# or 1747 float32 rows at n=24, 7281 float64 rows at n=8), because it adds
+# to the peak memory of the pass one for one (4 MB buffers built n=24
+# about 5% faster and raised the peak by 1.4%), but never to fewer than
+# 256 rows, below which the per-chunk work outgrows the products (1 MB
+# chunks of 111 rows spent about a fifth of the n=48 pass on accumulator
+# adds).
 _BUFFER_BYTES = 2 << 20
 _MIN_ROWS = 256
+
+# Real data from n=12 on whose covariance is well conditioned takes the
+# moment pass in float32: the pair products and block GEMMs run in single
+# precision (sgemm) and each block's sum is added into the float64
+# accumulator.  Pass time at N=2e5 on 2 vCPUs, float32 over float64,
+# median of 5:
+#
+#   n       8     10    11    12    13    16    24
+#   ratio   1.04  0.86  0.84  0.65  0.57  0.57  0.56
+#
+# (n=12 read 0.69 in a second run; n=40 at N=1e5: 0.70 s against 1.11 s).
+# n=10 and 11 gain less and stay in float64, as does every smaller n.  The
+# rounding moves each moment by at most about 1e-6 of the moments of |x|,
+# far below the kurtosis sampling error sqrt(24/N) that the z gate tests
+# against.  The conditioning test is required.  Rounding the data lifts the
+# null-space eigenvalues of C for a singular covariance (noise-free data
+# with m < n, or N < n) from about 1e-17 to about 1e-8 of the largest,
+# above the n*eps rank cutoff: C then had full rank, n=12, m=8 data failed
+# to recover, and at n=16, m=12, N=2e4 the estimate kept a column 83.5
+# degrees off.  So the smallest covariance eigenvalue must be at least 1e-6
+# of the largest.
+_FLOAT32_MIN_DIM = 12
+_FLOAT32_MIN_EIG_RATIO = 1e-6
 
 
 def _chunk_rows(n_pairs, itemsize):
@@ -141,7 +166,9 @@ class CumulantOracle:
 
     ``CumulantOracle(samples)`` builds the tensors from the moments of one
     chunked pass over the samples (at most ``N P(P+1)/2`` multiply-adds,
-    fewer at n = 7..11 and from n=24 on: see :func:`_pair_layout`) and from
+    fewer at n = 7..11 and from n=24 on: see :func:`_pair_layout`; in
+    float32 for real, well-conditioned data from n=12 on: see
+    ``_FLOAT32_MIN_DIM``) and from
     their covariance :attr:`SampleSet.cov`; ``grad_f`` is then the
     exact gradient of the sample ``f`` and ``C`` the rescaled sum of its
     exact Hessians (of ``fstar``'s for complex data).  :meth:`from_mixing`
@@ -156,11 +183,13 @@ class CumulantOracle:
         self.samples = samples
         self._index_pairs(samples.dim, samples.is_complex)
         S = samples.cov  # E[x x^H]
-        P, G, K = _pair_moments(samples.data)
+        self._cov_pinv, _, eigvals = hermitian_pinv(S)
+        single = (not self.is_complex and self.dim >= _FLOAT32_MIN_DIM
+                  and eigvals[0] >= _FLOAT32_MIN_EIG_RATIO * eigvals[-1])
+        P, G, K = _pair_moments(samples.data, np.float32 if single else None)
         if P is None:
             P = S
         self._M = S.conj()
-        self._cov_pinv = hermitian_pinv(S)[0]
         # subtract the Gaussian (Isserlis) part of the fourth moments once
         self._Q = G - self._isserlis(P, P, P)
         self._Qc = K - self._isserlis(P, P.conj(), S) if self.is_complex else self._Q
@@ -437,7 +466,7 @@ def _pair_layout(n):
     return _PairLayout(tuple(groups), tuple(products), size, order, gather)
 
 
-def _pair_moments(X):
+def _pair_moments(X, dtype=None):
     """One chunked pass over centered samples ``X``.
 
     Returns ``P = E[x x^T]``, ``G = E[z z^T]`` and ``K = E[z z^H]`` for the
@@ -447,7 +476,14 @@ def _pair_moments(X):
     Each chunk's pair products are formed once, by broadcasting
     one row index against a run of others, in the block layout of
     :func:`_pair_layout`.  For real data ``G`` is accumulated as the
-    layout's block products and expanded once at the end.  For complex
+    layout's block products and expanded once at the end.  ``dtype`` is
+    the working dtype of the chunks, their products and the block GEMMs
+    (``X.dtype`` when None); the accumulator and the results keep
+    ``X.dtype``.  :class:`CumulantOracle` passes float32 for real,
+    well-conditioned data from n=12 on (see ``_FLOAT32_MIN_DIM``): each
+    chunk is then cast to float32, the GEMMs run as sgemm, and each block's
+    sum is added in float64, which leaves every moment within 1e-6 of the
+    moments of ``|x|`` (5.4e-7 measured).  For complex
     data ``z = a + ib`` one real syrk of the stacked ``[a; b]`` accumulates
     ``a a^T``, ``a b^T`` and ``b b^T``, which give both
     ``G = (a a^T - b b^T) + i (a b^T + b a^T)`` and
@@ -456,18 +492,20 @@ def _pair_moments(X):
     """
     N, n = X.shape
     cplx = np.iscomplexobj(X)
+    work = X.dtype if dtype is None else np.dtype(dtype)
     layout = _pair_layout(n)
     n_pairs = layout.order.size
-    rows = min(N, _chunk_rows(n_pairs, X.itemsize))
-    xt = np.empty((n, rows), dtype=X.dtype)
-    z = np.empty((n_pairs, rows), dtype=X.dtype)
+    rows = min(N, _chunk_rows(n_pairs, work.itemsize))
+    xt = np.empty((n, rows), dtype=work)
+    z = np.empty((n_pairs, rows), dtype=work)
     acc = np.zeros(layout.size, dtype=X.dtype)
     if cplx:
         P = np.zeros((n, n), dtype=X.dtype)
         parts = np.empty((2 * n_pairs, rows))  # [Re z; Im z]
         W = np.zeros((2 * n_pairs, 2 * n_pairs))
     else:
-        block = np.empty(max(part.stop - part.start for _, _, part in layout.products))
+        block = np.empty(max(part.stop - part.start for _, _, part in layout.products),
+                         dtype=work)
     for start in range(0, N, rows):
         x = xt[:, :min(rows, N - start)]
         np.copyto(x, X[start:start + x.shape[1]].T)

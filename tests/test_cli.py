@@ -130,6 +130,18 @@ class TestDemix:
             corr = abs(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
             assert corr >= 0.99
 
+    def test_singular_covariance_diagnostic(self, tmp_path, capsys):
+        # three sources in four channels without noise: cov(X) has rank 3
+        sim = tmp_path / "sim"
+        run_cli("simulate", "--n", 4, "--m", 3, "--noise-power", 0, "--samples", 20000,
+                "--seed", 1, "--out", sim)
+        assert run_cli("estimate", sim / "X.csv", "--m", 3, "--out", tmp_path / "est") == 0
+        capsys.readouterr()
+        code = run_cli("demix", sim / "X.csv", tmp_path / "est" / "A_hat.csv",
+                       "--out", tmp_path / "dem")
+        assert code == 0
+        assert "sample covariance is singular (rank 3)" in capsys.readouterr().err
+
     def test_sinr_opt_beats_pinv_in_noise(self, tmp_path):
         sim = tmp_path / "sim"
         run_cli("simulate", "--n", 5, "--samples", 200000, "--noise-power", 0.67,

@@ -11,6 +11,7 @@ from pegica import (
     build_C,
     center,
     draw_batch,
+    make_model,
     sample_cov,
 )
 from pegica import cumulants
@@ -400,6 +401,13 @@ def _sorted_quadruples(n):
     return _quadruple_codes(n, iu[:, None], ju[:, None], iu[None, :], ju[None, :]).ravel()
 
 
+def _edge_samples(n, edge, itemsize):
+    # N on and around the moment pass's chunk boundary for this item size
+    rows = _chunk_rows(n * (n + 1) // 2, itemsize)
+    return {"two": 2, "rows_minus_one": rows - 1, "rows": rows,
+            "two_rows_plus_one": 2 * rows + 1}[edge]
+
+
 def _samples(N, n, complex_field, seed=5):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((N, n))
@@ -419,10 +427,7 @@ class TestPairMoments:
     @pytest.mark.parametrize("edge", ["two", "rows_minus_one", "rows", "two_rows_plus_one"])
     @pytest.mark.parametrize("n", [1, 2, 5, 7, 8, 9, 10, 11, 24, 37])
     def test_matches_dense_products(self, n, edge, complex_field):
-        rows = _chunk_rows(n * (n + 1) // 2, 16 if complex_field else 8)
-        N = {"two": 2, "rows_minus_one": rows - 1, "rows": rows,
-             "two_rows_plus_one": 2 * rows + 1}[edge]
-        X = _samples(N, n, complex_field)
+        X = _samples(_edge_samples(n, edge, 16 if complex_field else 8), n, complex_field)
         P, G, K = _pair_moments(X)
         # for real data P is the covariance, which the pass leaves to SampleSet
         assert (P is None) == (not complex_field)
@@ -446,6 +451,75 @@ class TestPairMoments:
         X = _samples(5000, 24, complex_field)
         for first, second in zip(_pair_moments(X), _pair_moments(X.copy())):
             assert (first is None and second is None) or np.array_equal(first, second)
+
+
+class TestPairMomentsFloat32:
+    """The float32 pass: single-precision chunks, products and GEMMs, each
+    block's sum added into the float64 accumulator.
+
+    Its N sit on and around the float32 chunk boundary, which holds twice
+    the float64 rows.  Every moment stays within 1e-6 of the moments of
+    |x| (5.4e-7 measured), where the float64 pass stays within 1e-13.
+    """
+
+    @pytest.mark.parametrize("edge", ["two", "rows_minus_one", "rows", "two_rows_plus_one"])
+    @pytest.mark.parametrize("n", [12, 24, 37])
+    def test_matches_dense_products(self, n, edge):
+        X = _samples(_edge_samples(n, edge, 4), n, False)
+        P, G, K = _pair_moments(X, np.float32)
+        assert P is None and K is G and G.dtype == np.float64
+        _, reference, _ = _dense_moments(X)
+        scale = _dense_moments(np.abs(X))[1]
+        assert np.max(np.abs(G - reference)) <= 1e-6 * np.max(scale)
+
+    @pytest.mark.parametrize("n", [12, 24, 37])
+    def test_equal_moments_are_bitwise_equal(self, n):
+        G = _pair_moments(_samples(3001, n, False), np.float32)[1].ravel()
+        _, first, which = np.unique(_sorted_quadruples(n), return_index=True, return_inverse=True)
+        assert np.array_equal(G, G[first[which]])
+
+    def test_rebuild_is_bitwise_identical(self):
+        X = _samples(5000, 24, False)
+        assert np.array_equal(_pair_moments(X, np.float32)[1],
+                              _pair_moments(X.copy(), np.float32)[1])
+
+
+class TestPassPrecision:
+    """Which data the oracle builds with the float32 pass.
+
+    ``_float64_oracle`` builds the same samples with the float32 pass
+    switched off, as the reference each case compares to.
+    """
+
+    @staticmethod
+    def _float64_oracle(samples, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(cumulants, "_FLOAT32_MIN_DIM", np.inf)
+            return CumulantOracle(samples)
+
+    def test_singular_covariance_stays_float64(self, monkeypatch):
+        # noise-free data with m < n: rounding to float32 lifts C's
+        # null-space eigenvalues above the rank cutoff (rank 12, not 8)
+        model = make_model(12, 8, cond=3.0, noise_power=0.0, seed=0)
+        samples = center(draw_batch(model, 20_000, seed=0).X)
+        oracle = CumulantOracle(samples)
+        assert build_C(oracle).rank == 8
+        assert np.array_equal(oracle._Q, self._float64_oracle(samples, monkeypatch)._Q)
+
+    def test_well_conditioned_real_data_takes_float32(self, monkeypatch):
+        samples = center(_samples(20_000, 12, False))
+        Q = CumulantOracle(samples)._Q
+        reference = self._float64_oracle(samples, monkeypatch)._Q
+        assert not np.array_equal(Q, reference)
+        scale = np.max(_dense_moments(np.abs(samples.data))[1])
+        assert np.max(np.abs(Q - reference)) <= 1e-6 * scale
+
+    def test_complex_data_stays_float64(self, monkeypatch):
+        samples = center(_samples(5000, 12, True))
+        oracle = CumulantOracle(samples)
+        reference = self._float64_oracle(samples, monkeypatch)
+        assert np.array_equal(oracle._Q, reference._Q)
+        assert np.array_equal(oracle._Qc, reference._Qc)
 
 
 class TestPairLayout:

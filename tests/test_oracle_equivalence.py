@@ -5,7 +5,12 @@ statistics of the same samples, in a different order of floating-point
 operations.  A model-built oracle and the closed forms below compute the
 same exact cumulants of a known mixture.  Every functional must agree to
 ``RTOL`` relative to the reference's largest magnitude; observed
-differences stay below 1e-11 (the largest at N = 2).
+differences stay below 1e-11 (the largest at N = 2).  Real data from n=12
+on with a well-conditioned covariance takes the float32 moment pass, so
+there the bound is ``RTOL_FLOAT32`` = 1e-4; observed differences stay
+below 1e-5 (the largest, 9.4e-6, in ``source_z_score``, whose direction
+``cov(X)^+ column`` cancels most of the moments), and the columns of an
+estimate move by at most 1e-3 degrees (3.1e-5 observed).
 """
 
 import numpy as np
@@ -25,6 +30,7 @@ from conftest import make_test_model
 from per_sample_oracle import PerSampleOracle
 
 RTOL = 1e-10
+RTOL_FLOAT32 = 1e-4
 N_DIM = 5
 FUNCTIONALS = ("f", "fstar", "grad_f", "kurtosis_z_score", "source_z_score")
 COMPLEX = pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
@@ -32,11 +38,11 @@ COMPLEX = pytest.mark.parametrize("complex_field", [False, True], ids=["real", "
 EDGES = pytest.mark.parametrize("edge", ["two", "below_chunk", "chunks_plus_one"])
 
 
-def _assert_close(value, reference):
+def _assert_close(value, reference, rtol=RTOL):
     value, reference = np.asarray(value), np.asarray(reference)
     assert value.shape == reference.shape
     scale = np.max(np.abs(reference))
-    assert np.max(np.abs(value - reference)) <= RTOL * scale
+    assert np.max(np.abs(value - reference)) <= rtol * scale
 
 
 def _oracles(n, N, complex_field):
@@ -45,31 +51,33 @@ def _oracles(n, N, complex_field):
     return CumulantOracle(samples), PerSampleOracle(samples)
 
 
-def _check_functionals(n, edge, complex_field, rng):
+def _check_functionals(n, edge, complex_field, rng, float32=False):
     # the moment pass's own chunk rule, so N straddles its chunk boundaries
-    rows = _chunk_rows(n * (n + 1) // 2, 16 if complex_field else 8)
+    itemsize = 4 if float32 else 16 if complex_field else 8
+    rows = _chunk_rows(n * (n + 1) // 2, itemsize)
     N = {"two": 2, "below_chunk": rows // 3, "chunks_plus_one": 2 * rows + 1}[edge]
+    rtol = RTOL_FLOAT32 if float32 else RTOL
     oracle, reference = _oracles(n, N, complex_field)
     assert oracle.is_complex == complex_field
-    _assert_close(oracle.build_C_matrix(), reference.build_C_matrix())
+    _assert_close(oracle.build_C_matrix(), reference.build_C_matrix(), rtol)
     for _ in range(4):
         u = rng.standard_normal(n)
         if complex_field:
             u = u + 1j * rng.standard_normal(n)
         for name in FUNCTIONALS:
-            _assert_close(getattr(oracle, name)(u), getattr(reference, name)(u))
+            _assert_close(getattr(oracle, name)(u), getattr(reference, name)(u), rtol)
 
 
-def _check_estimate(n, complex_field):
+def _check_estimate(n, complex_field, max_degrees=1e-6):
     # same starts, same gate decisions: the columns differ only by the
-    # oracles' rounding, far below a microdegree
+    # oracles' rounding, far below a microdegree in float64
     oracle, reference = _oracles(n, 100_000, complex_field)
     cfg = IterationConfig(epsilon=1e-9, rng_seed=3)
     est = pegi_full(build_C(oracle), oracle, n, cfg)
     ref = pegi_full(build_C(reference), reference, n, cfg)
     perm, _, angles = match_columns(est.A_hat, ref.A_hat)
     assert list(perm) == list(range(n))
-    assert np.max(angles) <= 1e-6  # degrees
+    assert np.max(angles) <= max_degrees
 
 
 @COMPLEX
@@ -86,6 +94,13 @@ def test_functionals_match_per_sample_formulas_at_n8(edge, complex_field, rng):
     _check_functionals(8, edge, complex_field, rng)
 
 
+# from n=12 real data takes the float32 moment pass, except at N = 2,
+# whose singular covariance keeps it on float64
+@EDGES
+def test_functionals_match_per_sample_formulas_at_n12(edge, rng):
+    _check_functionals(12, edge, False, rng, float32=True)
+
+
 @COMPLEX
 def test_pegi_full_matches_reference_estimate(complex_field):
     _check_estimate(N_DIM, complex_field)
@@ -94,6 +109,10 @@ def test_pegi_full_matches_reference_estimate(complex_field):
 @COMPLEX
 def test_pegi_full_matches_reference_estimate_at_n8(complex_field):
     _check_estimate(8, complex_field)
+
+
+def test_pegi_full_matches_reference_estimate_at_n12():
+    _check_estimate(12, False, max_degrees=1e-3)
 
 
 class ClosedFormOracle:
