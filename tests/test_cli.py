@@ -12,7 +12,10 @@ from pegica import (
     IterationConfig,
     build_C,
     center,
+    draw_batch,
+    make_model,
     match_columns,
+    matio,
     pegi_full,
     sample_cov,
     sinr_optimal_demix,
@@ -20,6 +23,7 @@ from pegica import (
 from pegica.benchmark import RunConfig
 from pegica.cli import build_parser, main
 from pegica.matio import parse_matrix_csv, read_keyvalues, read_table, write_matrix_csv
+from test_matio import reference_matrix_csv
 
 
 def run_cli(*argv):
@@ -57,6 +61,16 @@ class TestSimulate:
         run_cli(*args, "--out", tmp_path / "b")
         for name in ("X.csv", "S.csv", "A.csv", "Sigma.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_large_batch_bytes_equal_per_cell_reference(self, tmp_path, monkeypatch):
+        # 20000 x 4 cells are above the two-process threshold
+        monkeypatch.setattr(matio, "_usable_cpus", lambda: 2)
+        assert 20000 * 4 >= matio._PARALLEL_MIN_CELLS
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "--n", 4, "--samples", 20000, "--seed", 5, "--out", out) == 0
+        batch = draw_batch(make_model(n=4, seed=5), 20000, seed=5)
+        assert (out / "X.csv").read_text() == reference_matrix_csv(batch.X)
+        assert (out / "S.csv").read_text() == reference_matrix_csv(batch.S)
 
 
 class TestEstimate:

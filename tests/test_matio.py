@@ -1,5 +1,9 @@
 """Matrix/table/key-value file round trips and parse diagnostics."""
 
+import os
+import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -10,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from pegica import matio
 from pegica.errors import MatrixFormatError
 from pegica.matio import (
     format_value,
@@ -204,6 +209,112 @@ class TestMatrixFileProperties:
         path = tmp_path / "m.csv"
         write_matrix_csv(path, M)
         assert path.read_text() == reference_matrix_csv(M)
+
+
+def wide_exponent_matrix(rng, rows, cols):
+    """Exponents from -300 to 300, with the special values in both halves."""
+    M = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-300, 300, (rows, cols))
+    for k, v in enumerate([-0.0, np.nan, np.inf, -np.inf, 5e-324]):
+        M[1 + k, k % cols] = v
+        M[rows // 2 + k, k % cols] = v
+    return M
+
+
+def negative_zero_imaginary_matrix(rng, rows, cols):
+    """Complex values, about a third with a ``-0.0`` imaginary part."""
+    M = np.empty((rows, cols), dtype=complex)
+    M.real = rng.standard_normal((rows, cols))
+    M.imag = np.where(rng.random((rows, cols)) < 0.3, -0.0, rng.standard_normal((rows, cols)))
+    return M
+
+
+class TestForkedWriter:
+    """Matrices of at least ``_PARALLEL_MIN_CELLS`` cells, written by two
+    processes, keep the bytes of the per-cell reference."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(matio, "_usable_cpus", lambda: 2)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        calls = []
+        fork = os.fork
+
+        def counting_fork():
+            calls.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return calls
+
+    @pytest.mark.parametrize("make", [
+        # odd rows; the split at row 4500 is off the 4096-row block grid
+        lambda rng: wide_exponent_matrix(rng, 9001, 4),
+        lambda rng: wide_exponent_matrix(rng, 4097, 8),
+        # F-ordered, as DrawBatch.S is
+        lambda rng: np.asfortranarray(wide_exponent_matrix(rng, 8193, 5)),
+        lambda rng: negative_zero_imaginary_matrix(rng, 6001, 6),
+    ])
+    def test_bytes_equal_per_cell_reference(self, tmp_path, rng, forks, make):
+        M = make(rng)
+        assert M.size >= matio._PARALLEL_MIN_CELLS
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, M)
+        assert forks == [1]
+        assert path.read_text() == reference_matrix_csv(M)
+        assert_same_bits(parse_matrix_csv(path), M)
+
+    def test_one_cpu_writes_the_same_bytes_without_forking(self, tmp_path, rng, forks,
+                                                          monkeypatch):
+        M = wide_exponent_matrix(rng, 9001, 4)
+        write_matrix_csv(tmp_path / "two.csv", M)
+        monkeypatch.setattr(matio, "_usable_cpus", lambda: 1)
+        write_matrix_csv(tmp_path / "one.csv", M)
+        assert forks == [1]
+        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
+
+    def test_small_matrix_stays_serial(self, tmp_path, rng, forks):
+        cols = 8
+        M = rng.standard_normal((matio._PARALLEL_MIN_CELLS // cols - 1, cols))
+        write_matrix_csv(tmp_path / "m.csv", M)
+        assert forks == []
+        assert (tmp_path / "m.csv").read_text() == reference_matrix_csv(M)
+
+    @pytest.mark.parametrize("failing", ["worker", "parent"])
+    def test_failure_raises_and_leaves_nothing(self, tmp_path, rng, monkeypatch, failing):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        parent = os.getpid()
+        write_rows = matio._write_rows
+
+        def write_rows_failing_in_one(fh, M, fmt):
+            if (os.getpid() != parent) == (failing == "worker"):
+                raise RuntimeError("formatting failed")
+            write_rows(fh, M, fmt)
+
+        monkeypatch.setattr(matio, "_write_rows", write_rows_failing_in_one)
+        path = tmp_path / "m.csv"
+        if failing == "worker":
+            expected = pytest.raises(OSError, match=re.escape(str(path)))
+        else:
+            expected = pytest.raises(RuntimeError, match="formatting failed")
+        with expected:
+            write_matrix_csv(path, rng.standard_normal((9001, 4)))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert list(scratch.iterdir()) == []
+
+
+def test_import_loads_no_multiprocessing():
+    # the writer forks with os; importing multiprocessing would cost every
+    # command about 16 ms of start-up
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = "import sys, pegica; sys.exit('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0
 
 
 class TestTables:
