@@ -151,7 +151,7 @@ def run_trial(model, X_samples, algorithm, matched=None):
     A_hat, perm, max_angle = matched if algorithm in _ESTIMATED else (None, None, 0.0)
     B = DEMIXERS[algorithm](model, X_samples, A_hat)
     sinr, loss_db = dx.sinr_loss(B, model, perm)
-    return float(np.array([to_db(s) for s in sinr]).mean()), float(loss_db.mean()), max_angle
+    return float(to_db(sinr).mean()), float(loss_db.mean()), max_angle
 
 
 def _attempt(fn, *args):

@@ -9,7 +9,8 @@ benchmark  run the seeded sweep and write the per-trial/aggregate CSV
 report     condense a benchmark CSV into a per-(algorithm, N, p) summary
 
 Exit codes: 0 success, 2 usage, 3 file parse error, 4 numerical failure
-(rank deficiency / non-convergence / bad model), 5 partial recovery.
+(a noise covariance that is not PSD, a failed consistency check), 5 partial
+recovery (also for a rank-deficient metric and columns that do not converge).
 
 The default output directory is the PEGICA_OUT_DIR environment variable,
 falling back to the current directory.  All files are plain text; see
@@ -35,7 +36,6 @@ from .benchmark import (
 )
 from .cumulants import CumulantOracle, build_C, center
 from .errors import (
-    ConvergenceError,
     MatrixFormatError,
     ModelConstructionError,
     NumericalConsistencyError,
@@ -197,7 +197,7 @@ def cmd_demix(args):
         model = _read_model(args.model)
         perm, phases, angles = dx.match_columns(A_hat, model.A)
         sinr, loss_db = dx.sinr_loss(demixer.B, model, perm)
-        sinr_db = np.array([to_db(s) for s in sinr])
+        sinr_db = to_db(sinr)
         row_of = np.argsort(perm)
         rows = [(
             str(k),
@@ -331,10 +331,7 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except PartialRecoveryError as exc:
-        print(f"partial recovery: {exc}", file=sys.stderr)
-        return EXIT_PARTIAL
-    except (ConvergenceError, ModelConstructionError, NumericalConsistencyError) as exc:
+    except (ModelConstructionError, NumericalConsistencyError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except PegicaError as exc:

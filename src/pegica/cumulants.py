@@ -22,7 +22,7 @@ Projections use ``<x, u> = x @ conj(u)``, which is the plain dot product
 for real data.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -189,49 +189,39 @@ class CumulantOracle:
         P, G, K = _pair_moments(samples.data, np.float32 if single else None)
         if P is None:
             P = S
-        self._M = S.conj()
         # subtract the Gaussian (Isserlis) part of the fourth moments once
         self._Q = G - self._isserlis(P, P, P)
         self._Qc = K - self._isserlis(P, P.conj(), S) if self.is_complex else self._Q
 
     @classmethod
-    def from_mixing(cls, A, k4, k4_star=None):
+    def from_mixing(cls, A, k4):
         """Exact cumulants of ``X = A S + noise`` for independent sources.
 
-        ``Q = Z diag(k4) Z^T`` and ``Qc = Z diag(k4_star) Z^H`` with the
-        pair rows ``Z = A[i] * A[j]``.  Gaussian noise of any covariance
-        does not enter.
+        ``Q = Z diag(k4) Z^T`` and ``Qc = Z diag(k4) Z^H`` with the pair
+        rows ``Z = A[i] * A[j]``.  Gaussian noise of any covariance does
+        not enter.
 
         Parameters
         ----------
         A : ndarray, shape (n, m)
-            Mixing matrix (real or complex).
-        k4 : array_like, shape (m,)
-            Fourth cumulant of each source.
-        k4_star : array_like, optional
-            Conjugation-scheme cumulants; defaults to ``k4`` (the two
-            coincide for real sources and for phase rotations of them).
+            Mixing matrix; a complex model carries its phases here.
+        k4 : array_like of real, shape (m,)
+            Fourth cumulant of each source, which for a real source is also
+            its conjugation-scheme cumulant.  Complex values raise ValueError.
         """
         A = np.atleast_2d(np.asarray(A))
-        k4 = np.asarray(k4, dtype=complex).ravel()
+        k4 = np.asarray(k4)
+        if np.iscomplexobj(k4):
+            raise ValueError("source fourth cumulants must be real")
+        k4 = k4.astype(float).ravel()
         if k4.shape[0] != A.shape[1]:
             raise DimensionMismatchError("one kappa4 per mixing column required")
-        if np.all(k4.imag == 0):
-            k4 = k4.real
-        if k4_star is None:
-            if np.iscomplexobj(k4):
-                raise ValueError(
-                    "k4_star must be given explicitly when the plain source "
-                    "cumulants are complex"
-                )
-            k4_star = k4
-        k4_star = np.asarray(k4_star, dtype=float).ravel()
         self = cls.__new__(cls)
-        self.samples = self._M = self._cov_pinv = None
-        self._index_pairs(A.shape[0], np.iscomplexobj(A) or np.iscomplexobj(k4))
+        self.samples = self._cov_pinv = None
+        self._index_pairs(A.shape[0], np.iscomplexobj(A))
         Z = A[self._iu] * A[self._ju]
         self._Q = (Z * k4) @ Z.T
-        self._Qc = (Z * k4_star) @ Z.conj().T if self.is_complex else self._Q
+        self._Qc = (Z * k4) @ Z.conj().T if self.is_complex else self._Q
         return self
 
     @classmethod
@@ -325,11 +315,10 @@ class CumulantOracle:
         if self.samples is None:
             return None
         v = np.conj(self._check(u))
-        m2 = float((np.conj(v) @ self._M @ v).real)
+        m2 = float((v @ self.samples.cov @ np.conj(v)).real)
         if m2 <= 0.0:
             return 0.0
-        k4 = self.fstar(u) if self.is_complex else self.f(u)
-        gamma = k4 / m2**2
+        gamma = self.fstar(u) / m2**2
         return float(abs(gamma) / np.sqrt(24.0 / self.samples.n_samples))
 
     def source_z_score(self, column):
@@ -555,7 +544,7 @@ class PseudoMetric:
     C: np.ndarray
     C_pinv: np.ndarray
     rank: int
-    eigvals: np.ndarray = field(repr=False, default=None)
+    eigvals: np.ndarray
 
     @property
     def dim(self):

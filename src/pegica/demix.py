@@ -211,7 +211,8 @@ def sinr_loss(B, model, permutation=None):
     Row j of ``B`` is scored for true source ``permutation[j]`` (row k for
     source k by default).  Returns ``(sinr, loss_db)``, both indexed by
     true source; the loss is ``to_db(optimal) - to_db(sinr)``, nonnegative
-    up to float noise because the optimum is a per-source maximizer.
+    up to float noise because the optimum is a per-source maximizer, and 0
+    where the two are equal (infinite SINR in a noise-free model included).
     """
     B = np.atleast_2d(np.asarray(B))
     m = model.m
@@ -221,5 +222,7 @@ def sinr_loss(B, model, permutation=None):
     sinr = np.empty(m)
     for j, k in enumerate(perm):
         sinr[k] = sinr_k(B[j], model, int(k))
-    opt_db = np.array([to_db(s) for s in optimal_sinr(model)])
-    return sinr, opt_db - np.array([to_db(s) for s in sinr])
+    optimum = optimal_sinr(model)
+    with np.errstate(invalid="ignore"):  # inf - inf where both are infinite
+        loss_db = to_db(optimum) - to_db(sinr)
+    return sinr, np.where(sinr == optimum, 0.0, loss_db)

@@ -11,7 +11,6 @@ Conventions used throughout the package:
 
 import numpy as np
 
-DB_CAP = 300.0
 _EPS = np.finfo(float).eps
 
 
@@ -82,22 +81,14 @@ def hermitian_pinv(C):
     inv_vals = np.zeros_like(eigvals)
     inv_vals[keep] = 1.0 / eigvals[keep]
     pinv = (eigvecs * inv_vals) @ eigvecs.conj().T
-    if not np.iscomplexobj(C):
-        pinv = pinv.real
     return pinv, int(np.count_nonzero(keep)), eigvals
 
 
 def to_db(x):
-    """Convert a power ratio to decibels, clipped to ``[-DB_CAP, DB_CAP]``.
+    """Convert power ratios to decibels, elementwise.
 
-    Infinite ratios (perfect isolation in a noise-free model) map to the
-    cap so downstream CSV output stays finite.
+    An infinite ratio (perfect isolation in a noise-free model) stays
+    infinite and a zero ratio gives ``-inf``.
     """
-    x = float(x)
-    if np.isnan(x):
-        return float("nan")
-    if x == np.inf:
-        return DB_CAP
-    if x <= 0.0:
-        return -DB_CAP
-    return float(np.clip(10.0 * np.log10(x), -DB_CAP, DB_CAP))
+    with np.errstate(divide="ignore"):
+        return 10.0 * np.log10(x)

@@ -117,8 +117,8 @@ class ConvergenceTrace:
 def pegi_update(u, metric: PseudoMetric, oracle: CumulantOracle):
     """One normalized gradient step in the pseudo-Euclidean metric.
 
-    Returns ``grad_f(C_pinv u)`` scaled to unit norm; for complex signals
-    the pseudoinverse is conjugated entrywise before the product.  Raises
+    Returns ``grad_f(conj(C_pinv) u)`` scaled to unit norm; the entrywise
+    conjugate is a no-op for real signals.  Raises
     :class:`DegenerateDirectionError` when the gradient norm falls below
     1e-12 (e.g. for purely Gaussian data, where the gradient vanishes
     identically); callers should restart from a fresh random direction.
@@ -126,11 +126,7 @@ def pegi_update(u, metric: PseudoMetric, oracle: CumulantOracle):
     u = np.asarray(u).ravel()
     if u.shape[0] != metric.dim:
         raise DimensionMismatchError("direction and metric dimensions differ")
-    if oracle.is_complex or metric.is_complex:
-        w = np.conj(metric.C_pinv) @ u
-    else:
-        w = metric.C_pinv @ u
-    g = oracle.grad_f(w)
+    g = oracle.grad_f(np.conj(metric.C_pinv) @ u)
     norm = np.linalg.norm(g)
     if norm < _GRAD_FLOOR:
         raise DegenerateDirectionError(
@@ -142,20 +138,16 @@ def pegi_update(u, metric: PseudoMetric, oracle: CumulantOracle):
 def converged_up_to_phase(u_new, u_old, epsilon):
     """Distance between unit vectors modulo a sign / unit-modulus factor.
 
-    For real vectors the best factor is the sign of the inner product,
-    giving ``min(||u_new - u_old||, ||u_new + u_old||)``; for complex
-    vectors the minimizing phase is ``atan2(Im <u_new, u_old>,
-    Re <u_new, u_old>)``.  Returns ``(residual < epsilon, residual)``.
+    The minimizing factor is the phase ``<u_new, u_old> / |<u_new, u_old>|``
+    of the inner product (1 when it vanishes), which is its sign for real
+    vectors, giving ``min(||u_new - u_old||, ||u_new + u_old||)``.
+    Returns ``(residual < epsilon, residual)``.
     """
     u_new = np.asarray(u_new).ravel()
     u_old = np.asarray(u_old).ravel()
     inner = np.sum(u_new * np.conj(u_old))
-    if np.iscomplexobj(u_new) or np.iscomplexobj(u_old):
-        theta = np.arctan2(inner.imag, inner.real)
-        residual = float(np.linalg.norm(u_new - np.exp(1j * theta) * u_old))
-    else:
-        sign = 1.0 if inner >= 0 else -1.0
-        residual = float(np.linalg.norm(u_new - sign * u_old))
+    phase = inner / abs(inner) if inner != 0 else 1.0
+    residual = float(np.linalg.norm(u_new - phase * u_old))
     return residual < epsilon, residual
 
 

@@ -94,12 +94,10 @@ class SourceSpec:
         if self.family == "bernoulli":
             pq = self.param * (1.0 - self.param)
             return (1.0 - 6.0 * pq) / pq
-        if self.family == "student_t":
-            dof = int(self.param)
-            if dof <= 4:
-                return None  # fourth moment infinite
-            return 6.0 / (dof - 4.0)
-        raise AssertionError(self.family)
+        dof = int(self.param)  # student_t
+        if dof <= 4:
+            return None  # fourth moment infinite
+        return 6.0 / (dof - 4.0)
 
     def sample(self, count, rng):
         """Draw ``count`` i.i.d. standardized values."""
@@ -116,12 +114,10 @@ class SourceSpec:
             p = self.param
             draws = (rng.random(count) < p).astype(float)
             return (draws - p) / math.sqrt(p * (1.0 - p))
-        if self.family == "student_t":
-            dof = int(self.param)
-            # population variance dof/(dof-2) is finite for dof >= 3,
-            # so exact unit-variance scaling exists even when kappa4 does not
-            return rng.standard_t(dof, count) * math.sqrt((dof - 2.0) / dof)
-        raise AssertionError(self.family)
+        dof = int(self.param)  # student_t
+        # population variance dof/(dof-2) is finite for dof >= 3,
+        # so exact unit-variance scaling exists even when kappa4 does not
+        return rng.standard_t(dof, count) * math.sqrt((dof - 2.0) / dof)
 
 
 def source_spec(text) -> SourceSpec:
@@ -151,6 +147,8 @@ _FINITE_K4_FAMILIES = tuple(
 
 
 def _cycle(families, n_dims):
+    if n_dims < 1:
+        raise ValueError("n_dims must be positive")
     reps = -(-n_dims // len(families))  # ceil
     labels = (families * reps)[:n_dims]
     return [source_spec(t) for t in labels]
@@ -162,8 +160,6 @@ def default_source_panel(n_dims):
     ``n_dims=14`` gives each family exactly twice; smaller sizes truncate
     the cycle.
     """
-    if n_dims < 1:
-        raise ValueError("n_dims must be positive")
     return _cycle(_PAPER_FAMILIES, n_dims)
 
 
@@ -172,8 +168,6 @@ def finite_kurtosis_panel(n_dims):
     source has a closed-form fourth cumulant and
     :meth:`~pegica.cumulants.CumulantOracle.from_model` applies.  The mix
     still contains both signs of kurtosis."""
-    if n_dims < 1:
-        raise ValueError("n_dims must be positive")
     return _cycle(_FINITE_K4_FAMILIES, n_dims)
 
 
@@ -276,7 +270,7 @@ class GroundTruthModel:
 @dataclass(frozen=True)
 class DrawBatch:
     """Observed samples X (N-by-n) with the latent sources S (N-by-m)
-    retained for evaluation, plus the seed they were drawn from.
+    retained for evaluation; the seed stays with the caller.
 
     ``S`` is the transposed view of an m-by-N buffer, so it is F-ordered;
     ``X`` is C-ordered.
@@ -284,7 +278,6 @@ class DrawBatch:
 
     X: np.ndarray
     S: np.ndarray
-    seed: int
 
 
 def make_model(
@@ -370,4 +363,4 @@ def draw_batch(model: GroundTruthModel, N, seed) -> DrawBatch:
             X += noise
         else:  # a real mixing matrix with a complex noise covariance
             X = X + noise
-    return DrawBatch(X=X, S=S, seed=int(seed))
+    return DrawBatch(X=X, S=S)

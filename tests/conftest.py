@@ -10,14 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-from pegica import (
-    GroundTruthModel,
-    finite_kurtosis_panel,
-    noise_cov,
-    random_mixing,
-    source_spec,
-    stream,
-)
+from pegica import finite_kurtosis_panel, make_model, source_spec
 
 
 def fd_gradient(func, u, h=1e-4):
@@ -60,17 +53,8 @@ def make_test_model(n=6, m=None, cond=3.0, noise_power=0.1, seed=0,
     """Benchmark-style model restricted to finite-kurtosis sources, so the
     analytic oracle always applies."""
     m = n if m is None else m
-    A = random_mixing(n, m, cond, stream(seed, "mixing"))
-    if complex_phases:
-        phases = np.exp(2j * np.pi * stream(seed, "phases").random(m))
-        A = A.astype(complex) * phases
-    sources = moderate_panel(m) if moderate else tuple(finite_kurtosis_panel(m))
-    return GroundTruthModel(
-        A=A,
-        sources=sources,
-        Sigma=noise_cov(A, noise_power),
-        noise_power=noise_power,
-    )
+    sources = moderate_panel(m) if moderate else finite_kurtosis_panel(m)
+    return make_model(n, m, cond, noise_power, sources, seed, complex_phases)
 
 
 @pytest.fixture

@@ -73,6 +73,15 @@ class TestSimulate:
         assert (out / "S.csv").read_text() == reference_matrix_csv(batch.S)
 
 
+    def test_noise_covariance_not_psd_is_numerical_exit(self, tmp_path, capsys):
+        # cond 4 exceeds sqrt(10), so p (10 I - A A^T) has a negative eigenvalue
+        code = run_cli("simulate", "--n", 4, "--cond", 4, "--noise-power", 0.1,
+                       "--samples", 100, "--out", tmp_path / "sim")
+        assert code == 4
+        assert "not PSD" in capsys.readouterr().err
+        assert not (tmp_path / "sim" / "X.csv").exists()
+
+
 class TestEstimate:
     def test_recovers_truth_on_noise_free_data(self, sim_dir, tmp_path):
         est = tmp_path / "est"

@@ -380,6 +380,23 @@ class TestSinrLoss:
             assert sinr[k] == sinr_k(B[j], model, k)
             assert loss_db[k] == to_db(optimal_sinr(model)[k]) - to_db(sinr[k])
 
+    def test_noise_free_losses_are_zero_or_infinite(self):
+        # pinv(A) isolates every source perfectly, as the optimum does, so
+        # both SINRs are infinite; any other row set loses infinitely much
+        model = make_test_model(n=4, seed=72, noise_power=0.0)
+        B = np.linalg.pinv(model.A)
+        sinr, loss_db = sinr_loss(B, model)
+        assert np.all(sinr == np.inf) and np.all(optimal_sinr(model) == np.inf)
+        assert np.array_equal(loss_db, np.zeros(4))
+        B = B + 1e-3 * np.random.default_rng(0).standard_normal(B.shape)
+        sinr, loss_db = sinr_loss(B, model)
+        assert np.all(np.isfinite(sinr)) and np.all(loss_db == np.inf)
+
+    def test_to_db_keeps_infinities(self):
+        db = to_db(np.array([0.0, 1.0, 10.0, 1e40, np.inf]))
+        assert np.array_equal(db, [-np.inf, 0.0, 10.0, 400.0, np.inf])
+        assert to_db(np.inf) == np.inf and to_db(0.0) == -np.inf
+
     def test_bad_rows_or_permutation_rejected(self):
         model = make_test_model(n=3, seed=69, noise_power=0.1)
         with pytest.raises(DimensionMismatchError):

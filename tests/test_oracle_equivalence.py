@@ -119,13 +119,13 @@ class ClosedFormOracle:
     """Exact functionals of ``X = A S + noise``, written per source.
 
     With ``z = A^T conj(u)``: ``f = sum k4 z^4``, ``fstar = sum k4* |z|^4``,
-    ``grad_f = 4 A (z^3 k4)`` and ``C = A diag(||a||^2 k4) A^T`` (a conjugate on the left factor and
-    ``k4*`` for complex data).
+    ``grad_f = 4 A (z^3 k4)`` and ``C = A diag(||a||^2 k4) A^T`` (a conjugate on the left factor for
+    complex data).  Real sources have ``k4* = k4``.
     """
 
-    def __init__(self, A, k4, k4_star):
-        self.A, self.k4, self.k4_star = A, k4, k4_star
-        self.is_complex = np.iscomplexobj(A) or np.iscomplexobj(k4)
+    def __init__(self, A, k4):
+        self.A, self.k4 = A, k4
+        self.is_complex = np.iscomplexobj(A)
 
     def _coords(self, u):
         return self.A.T @ np.conj(u)
@@ -135,7 +135,7 @@ class ClosedFormOracle:
         return complex(value) if self.is_complex else float(value.real)
 
     def fstar(self, u):
-        return float(np.sum(np.abs(self._coords(u)) ** 4 * self.k4_star))
+        return float(np.sum(np.abs(self._coords(u)) ** 4 * self.k4))
 
     def grad_f(self, u):
         z = self._coords(u)
@@ -144,24 +144,15 @@ class ClosedFormOracle:
 
     def build_C_matrix(self):
         col_norm2 = np.einsum("ij,ij->j", self.A.conj(), self.A).real
-        if not self.is_complex:
-            return (self.A * (col_norm2 * self.k4)) @ self.A.T
-        return (self.A.conj() * (col_norm2 * self.k4_star)) @ self.A.T
+        return (self.A.conj() * (col_norm2 * self.k4)) @ self.A.T
 
 
-@pytest.mark.parametrize("case", ["real", "complex", "complex_k4_star"])
+@pytest.mark.parametrize("case", ["real", "complex"])
 def test_model_built_functionals_match_closed_forms(case, rng):
     model = make_test_model(n=N_DIM, seed=43, complex_phases=case != "real")
     k4 = np.array([s.kappa4_closed_form for s in model.sources])
-    if case == "complex_k4_star":
-        # complex plain cumulants of rotated sources; k4* keeps the modulus
-        k4_star = k4 * rng.uniform(0.5, 1.5, k4.size)
-        k4 = k4 * np.exp(1j * rng.uniform(0, 2 * np.pi, k4.size))
-        oracle = CumulantOracle.from_mixing(model.A, k4, k4_star)
-    else:
-        k4_star = k4
-        oracle = CumulantOracle.from_mixing(model.A, k4)
-    reference = ClosedFormOracle(model.A, k4, k4_star)
+    oracle = CumulantOracle.from_mixing(model.A, k4)
+    reference = ClosedFormOracle(model.A, k4)
     assert oracle.is_complex == reference.is_complex == (case != "real")
     _assert_close(oracle.build_C_matrix(), reference.build_C_matrix())
     for _ in range(4):
@@ -172,3 +163,13 @@ def test_model_built_functionals_match_closed_forms(case, rng):
             _assert_close(getattr(oracle, name)(u), getattr(reference, name)(u))
         assert oracle.kurtosis_z_score(u) is None
         assert oracle.source_z_score(u) is None
+
+
+def test_model_built_oracle_refuses_complex_cumulants():
+    # casting to float would drop the imaginary parts with only a warning
+    model = make_test_model(n=N_DIM, seed=43)
+    k4 = np.array([s.kappa4_closed_form for s in model.sources], dtype=complex)
+    with pytest.raises(ValueError, match="must be real"):
+        CumulantOracle.from_mixing(model.A, k4)
+    with pytest.raises(ValueError, match="must be real"):
+        CumulantOracle.from_mixing(model.A, k4 * np.exp(0.3j))
