@@ -45,7 +45,8 @@ __all__ = [
 
 
 # The oracle's pass over the samples forms one chunk's pair products at a
-# time, in a P x rows buffer reused across chunks.  Every chunk costs a
+# time, in a P x rows buffer reused across chunks (and the float32 pass
+# casts each chunk into an n x rows buffer).  Every chunk costs a
 # fixed number of numpy and BLAS calls and one add of its block products
 # into the accumulator, so chunks are sized in rows from P and the item
 # size of the working dtype: the buffer is held to about 2 MB (873 float64
@@ -57,6 +58,11 @@ __all__ = [
 # adds).
 _BUFFER_BYTES = 2 << 20
 _MIN_ROWS = 256
+
+# Centering the whole batch writes the F-ordered copy 4096 rows at a time:
+# as fast as a C-ordered subtraction at n = 8, 24 and 40 on 2 vCPUs, where
+# one transposing subtraction took two to three times as long.
+_CENTER_ROWS = 4096
 
 # Real data from n=12 on whose covariance is well conditioned takes the
 # moment pass in float32: the pair products and block GEMMs run in single
@@ -87,39 +93,51 @@ def _chunk_rows(n_pairs, itemsize):
     return max(_MIN_ROWS, _BUFFER_BYTES // (n_pairs * itemsize))
 
 
-@dataclass(frozen=True)
 class SampleSet:
     """An N-by-n batch of observed signals with column means removed.
 
-    The constructor centers a float (or complex) copy of ``data``, so every
-    instance is centered and its input is left untouched.  ``data`` is not
-    mutated after construction.
+    Building one computes only the column means (bitwise ``mean(axis=0)`` of
+    a C-ordered copy) and keeps the input, uncopied if C-ordered float64 or
+    complex128, until the first use of the centered samples: keep it
+    unchanged until then.  The centered copy :attr:`data` is a new F-ordered
+    array, written by the first reader: the oracle's moment pass chunk by
+    chunk, or :attr:`data` or :attr:`cov` all at once.  The input is never
+    mutated.
     """
 
-    data: np.ndarray
-
-    def __post_init__(self):
-        raw = np.atleast_2d(np.asarray(self.data))
+    def __init__(self, data):
+        raw = np.atleast_2d(np.asarray(data))
         if raw.ndim != 2:
             raise DimensionMismatchError("sample data must be a 2-D matrix")
         if raw.shape[0] < 2:
             raise InsufficientDataError(f"need at least 2 samples, got {raw.shape[0]}")
-        dtype = complex if np.iscomplexobj(raw) else float
-        mean = raw.mean(axis=0, keepdims=True, dtype=dtype)
-        data = np.subtract(raw, mean, out=np.empty_like(raw, dtype=dtype))
-        object.__setattr__(self, "data", data)
+        self.n_samples, self.dim = raw.shape
+        self.is_complex = np.iscomplexobj(raw)
+        raw = self._raw = np.ascontiguousarray(raw, complex if self.is_complex else float)
+        # bitwise numpy's mean: it adds a C-ordered array's rows in order (as
+        # einsum does, 2.5 times as fast at 1e6 x 8), but one column pairwise
+        self._mean = raw.mean(axis=0) if self.dim == 1 else np.einsum("ij->j", raw) / len(raw)
 
     @property
-    def n_samples(self):
-        return self.data.shape[0]
+    def data(self):
+        """The centered samples, N-by-n and F-ordered, written on first use."""
+        if self._raw is not None:
+            for _ in self._column_blocks(_CENTER_ROWS):
+                pass
+        return self._data
 
-    @property
-    def dim(self):
-        return self.data.shape[1]
-
-    @property
-    def is_complex(self):
-        return np.iscomplexobj(self.data)
+    def _column_blocks(self, rows):
+        # the centered samples as n-by-rows column blocks of data.T, centered
+        # on the way by the first reader; the copy counts only once complete
+        if self._raw is None:
+            yield from (self._data.T[:, s:s + rows] for s in range(0, self.n_samples, rows))
+            return
+        XT = np.empty((self.dim, self.n_samples), dtype=self._raw.dtype)
+        for s in range(0, self.n_samples, rows):
+            x = XT[:, s:s + rows]
+            np.subtract(self._raw[s:s + rows].T, self._mean[:, None], out=x)
+            yield x
+        self._data, self._raw = XT.T, None
 
     @cached_property
     def cov(self):
@@ -144,12 +162,14 @@ def center(raw) -> SampleSet:
     Parameters
     ----------
     raw : array_like, shape (N, n)
-        Observed signals, one sample per row.  N must be at least 2.
+        Observed signals, one sample per row.  N must be at least 2.  Read
+        again at the first use of the centered samples: keep it unchanged.
 
     Returns
     -------
     SampleSet
-        Centered copy of the input; the same as ``SampleSet(raw)``.
+        Centered copy of the input, written on first use; the same as
+        ``SampleSet(raw)``.
     """
     return SampleSet(raw)
 
@@ -182,11 +202,15 @@ class CumulantOracle:
             samples = center(samples)
         self.samples = samples
         self._index_pairs(samples.dim, samples.is_complex)
+        # only the float32 pass needs the covariance before it: otherwise the
+        # pass reads the raw samples and centers them as it goes
+        single = not self.is_complex and self.dim >= _FLOAT32_MIN_DIM
+        if single:
+            eigvals = hermitian_pinv(samples.cov)[2]
+            single = eigvals[0] >= _FLOAT32_MIN_EIG_RATIO * eigvals[-1]
+        P, G, K = _pair_moments(samples, np.float32 if single else None)
         S = samples.cov  # E[x x^H]
-        self._cov_pinv, _, eigvals = hermitian_pinv(S)
-        single = (not self.is_complex and self.dim >= _FLOAT32_MIN_DIM
-                  and eigvals[0] >= _FLOAT32_MIN_EIG_RATIO * eigvals[-1])
-        P, G, K = _pair_moments(samples.data, np.float32 if single else None)
+        self._cov_pinv = hermitian_pinv(S)[0]
         if P is None:
             P = S
         # subtract the Gaussian (Isserlis) part of the fourth moments once
@@ -455,9 +479,11 @@ def _pair_layout(n):
     return _PairLayout(tuple(groups), tuple(products), size, order, gather)
 
 
-def _pair_moments(X, dtype=None):
-    """One chunked pass over centered samples ``X``.
+def _pair_moments(samples, dtype=None):
+    """One chunked pass over a :class:`SampleSet`'s n-by-rows column blocks.
 
+    A sample set read here first centers each chunk into its copy on the
+    way, and the float64 pass forms the chunk's products from that block.
     Returns ``P = E[x x^T]``, ``G = E[z z^T]`` and ``K = E[z z^H]`` for the
     pair products ``z = x[iu] * x[ju]``, ``iu, ju = np.triu_indices(n)``.
     For real data ``P`` is None, because it is the covariance, which
@@ -467,37 +493,38 @@ def _pair_moments(X, dtype=None):
     :func:`_pair_layout`.  For real data ``G`` is accumulated as the
     layout's block products and expanded once at the end.  ``dtype`` is
     the working dtype of the chunks, their products and the block GEMMs
-    (``X.dtype`` when None); the accumulator and the results keep
-    ``X.dtype``.  :class:`CumulantOracle` passes float32 for real,
-    well-conditioned data from n=12 on (see ``_FLOAT32_MIN_DIM``): each
-    chunk is then cast to float32, the GEMMs run as sgemm, and each block's
-    sum is added in float64, which leaves every moment within 1e-6 of the
-    moments of ``|x|`` (5.4e-7 measured).  For complex
+    (the samples' own when None); the accumulator and the results keep the
+    samples' float64 or complex128.  :class:`CumulantOracle` passes float32
+    for real, well-conditioned data from n=12 on (see ``_FLOAT32_MIN_DIM``):
+    each chunk is then cast to float32, the GEMMs run as sgemm, and each
+    block's sum is added in float64, which leaves every moment within 1e-6
+    of the moments of ``|x|`` (5.4e-7 measured).  For complex
     data ``z = a + ib`` one real syrk of the stacked ``[a; b]`` accumulates
     ``a a^T``, ``a b^T`` and ``b b^T``, which give both
     ``G = (a a^T - b b^T) + i (a b^T + b a^T)`` and
     ``K = (a a^T + b b^T) + i (b a^T - a b^T)``; ``G`` then reads the
     layout's blocks from that product, so its expansion is the same.
     """
-    N, n = X.shape
-    cplx = np.iscomplexobj(X)
-    work = X.dtype if dtype is None else np.dtype(dtype)
+    N, n, cplx = samples.n_samples, samples.dim, samples.is_complex
+    exact = np.dtype(complex if cplx else float)
+    work = exact if dtype is None else np.dtype(dtype)
     layout = _pair_layout(n)
     n_pairs = layout.order.size
     rows = min(N, _chunk_rows(n_pairs, work.itemsize))
-    xt = np.empty((n, rows), dtype=work)
+    xt = np.empty((n, rows), dtype=work) if work != exact else None
     z = np.empty((n_pairs, rows), dtype=work)
-    acc = np.zeros(layout.size, dtype=X.dtype)
+    acc = np.zeros(layout.size, dtype=exact)
     if cplx:
-        P = np.zeros((n, n), dtype=X.dtype)
+        P = np.zeros((n, n), dtype=exact)
         parts = np.empty((2 * n_pairs, rows))  # [Re z; Im z]
         W = np.zeros((2 * n_pairs, 2 * n_pairs))
     else:
         block = np.empty(max(part.stop - part.start for _, _, part in layout.products),
                          dtype=work)
-    for start in range(0, N, rows):
-        x = xt[:, :min(rows, N - start)]
-        np.copyto(x, X[start:start + x.shape[1]].T)
+    for x in samples._column_blocks(rows):
+        if xt is not None:
+            np.copyto(xt[:, :x.shape[1]], x)
+            x = xt[:, :x.shape[1]]
         zc = z[:, :x.shape[1]]
         for j0, j1, first in layout.groups:
             row = first + j0 * (j1 - j0)

@@ -112,6 +112,108 @@ class TestCenter:
         assert build_C(oracle).rank == 2
 
 
+def _layouts(rng):
+    # every layout, dtype and edge shape the mean must take, by name
+    wide = rng.standard_normal((6001, 9)) * 3 + np.arange(9) * 100
+    cplx = rng.standard_normal((5001, 4)) + 1j * rng.standard_normal((5001, 4)) + 1e3 - 7j
+    return dict([
+        ("c_order", wide),
+        ("f_order", np.asfortranarray(wide)),
+        ("strided", wide[::3, 1:8:2]),
+        ("integer", rng.integers(-10**6, 10**6, (4001, 3))),
+        ("float32", wide.astype(np.float32)),
+        ("complex", cplx),
+        ("complex64_f_order", np.asfortranarray(cplx.astype(np.complex64))),
+        ("one_column", wide[:, 4:5].copy()),
+        ("two_rows", wide[:2].copy()),
+    ])
+
+
+_LAYOUTS = _layouts(np.random.default_rng(7))
+
+
+class TestLazyCentering:
+    """A SampleSet computes its column means when built and its centered
+    copy at first use, by whichever reader comes first.
+
+    Pass-first N leave a partial last chunk of the moment pass (7281 float64
+    rows at n=8, 1747 float32 rows at n=24, 3640 complex rows at n=8) and of
+    the whole-batch centering (4096 rows).
+    """
+
+    @pytest.mark.parametrize("name", list(_LAYOUTS))
+    def test_mean_is_numpys_row_by_row_mean(self, name):
+        raw = _LAYOUTS[name]
+        dtype = complex if np.iscomplexobj(raw) else float
+        # numpy sums a C-ordered array's axis 0 row by row; an F-ordered
+        # one it sums pairwise, so the reference is a C-ordered copy's mean
+        reference = np.ascontiguousarray(raw).mean(axis=0, dtype=dtype)
+        if raw.flags.c_contiguous:
+            assert np.array_equal(reference, raw.mean(axis=0, dtype=dtype)), name
+        samples = SampleSet(raw)
+        assert samples._mean.dtype == dtype
+        assert np.array_equal(samples._mean, reference), name
+        centered = np.ascontiguousarray(raw, dtype=dtype) - reference
+        assert np.array_equal(samples.data, centered), name
+        assert samples.data.flags.f_contiguous
+
+    def test_input_is_read_but_not_copied_until_first_use(self, rng):
+        raw = rng.standard_normal((3000, 4)) + 5.0
+        samples = SampleSet(raw)
+        assert np.shares_memory(samples._raw, raw)
+        data = samples.data
+        assert samples._raw is None and samples.data is data
+        assert not np.shares_memory(data, raw)
+
+    @staticmethod
+    def _build(raw, first):
+        samples = SampleSet(raw)
+        if first == "data":
+            samples.data
+        elif first == "cov":
+            samples.cov
+        oracle = CumulantOracle(samples)
+        return samples, oracle
+
+    @pytest.mark.parametrize("n, N, complex_field", [(8, 20_001, False), (24, 5_001, False),
+                                                     (8, 10_001, True)],
+                             ids=["real8", "real24_float32", "complex8"])
+    def test_outputs_do_not_depend_on_the_first_reader(self, n, N, complex_field):
+        raw = _samples(N, n, complex_field) * 2.0 + np.arange(n)
+        reference = raw - raw.mean(axis=0)
+        built = {first: self._build(raw, first) for first in ("pass", "data", "cov")}
+        for first, (samples, oracle) in built.items():
+            assert samples.data.flags.f_contiguous, first
+            assert np.array_equal(samples.data, reference), first
+            for name in ("cov", "data"):
+                assert np.array_equal(getattr(samples, name),
+                                      getattr(built["pass"][0], name)), (first, name)
+            for name in ("_Q", "_Qc", "_cov_pinv"):
+                assert np.array_equal(getattr(oracle, name),
+                                      getattr(built["pass"][1], name)), (first, name)
+
+    def test_a_failed_pass_leaves_the_samples_usable(self, rng, monkeypatch):
+        raw = rng.standard_normal((30_000, 8)) + 3.0
+        eager = SampleSet(raw).data
+        samples = SampleSet(raw)
+        calls, matmul = [0], np.matmul
+        per_chunk = len(cumulants._pair_layout(8).products)
+
+        def fail_in_third_chunk(*args, **kwargs):
+            calls[0] += 1
+            if calls[0] > 2 * per_chunk:
+                raise FloatingPointError("injected")
+            return matmul(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "matmul", fail_in_third_chunk)
+            with pytest.raises(FloatingPointError):
+                CumulantOracle(samples)
+        assert calls[0] == 2 * per_chunk + 1
+        assert np.array_equal(samples.data, eager)
+        assert np.array_equal(CumulantOracle(samples)._Q, CumulantOracle(SampleSet(raw))._Q)
+
+
 def kappa4(x):
     # f at the only direction of a one-column sample-built oracle
     return CumulantOracle(center(x[:, None])).f(1)
@@ -408,6 +510,18 @@ def _edge_samples(n, edge, itemsize):
             "two_rows_plus_one": 2 * rows + 1}[edge]
 
 
+class _Raw:
+    """``X`` as the moment pass reads a sample set, without centering it."""
+
+    def __init__(self, X):
+        self.n_samples, self.dim = X.shape
+        self.is_complex = np.iscomplexobj(X)
+        self._X = X
+
+    def _column_blocks(self, rows):
+        return (self._X[s:s + rows].T for s in range(0, self.n_samples, rows))
+
+
 def _samples(N, n, complex_field, seed=5):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((N, n))
@@ -428,7 +542,7 @@ class TestPairMoments:
     @pytest.mark.parametrize("n", [1, 2, 5, 7, 8, 9, 10, 11, 24, 37])
     def test_matches_dense_products(self, n, edge, complex_field):
         X = _samples(_edge_samples(n, edge, 16 if complex_field else 8), n, complex_field)
-        P, G, K = _pair_moments(X)
+        P, G, K = _pair_moments(_Raw(X))
         # for real data P is the covariance, which the pass leaves to SampleSet
         assert (P is None) == (not complex_field)
         # relative to the moments of |x|, which bound every sum's terms
@@ -442,14 +556,14 @@ class TestPairMoments:
     @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [5, 7, 8, 9, 10, 11, 24, 37])
     def test_equal_moments_are_bitwise_equal(self, n, complex_field):
-        G = _pair_moments(_samples(3001, n, complex_field))[1].ravel()
+        G = _pair_moments(_Raw(_samples(3001, n, complex_field)))[1].ravel()
         _, first, which = np.unique(_sorted_quadruples(n), return_index=True, return_inverse=True)
         assert np.array_equal(G, G[first[which]])
 
     @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
     def test_rebuild_is_bitwise_identical(self, complex_field):
         X = _samples(5000, 24, complex_field)
-        for first, second in zip(_pair_moments(X), _pair_moments(X.copy())):
+        for first, second in zip(_pair_moments(_Raw(X)), _pair_moments(_Raw(X.copy()))):
             assert (first is None and second is None) or np.array_equal(first, second)
 
 
@@ -466,7 +580,7 @@ class TestPairMomentsFloat32:
     @pytest.mark.parametrize("n", [12, 24, 37])
     def test_matches_dense_products(self, n, edge):
         X = _samples(_edge_samples(n, edge, 4), n, False)
-        P, G, K = _pair_moments(X, np.float32)
+        P, G, K = _pair_moments(_Raw(X), np.float32)
         assert P is None and K is G and G.dtype == np.float64
         _, reference, _ = _dense_moments(X)
         scale = _dense_moments(np.abs(X))[1]
@@ -474,14 +588,14 @@ class TestPairMomentsFloat32:
 
     @pytest.mark.parametrize("n", [12, 24, 37])
     def test_equal_moments_are_bitwise_equal(self, n):
-        G = _pair_moments(_samples(3001, n, False), np.float32)[1].ravel()
+        G = _pair_moments(_Raw(_samples(3001, n, False)), np.float32)[1].ravel()
         _, first, which = np.unique(_sorted_quadruples(n), return_index=True, return_inverse=True)
         assert np.array_equal(G, G[first[which]])
 
     def test_rebuild_is_bitwise_identical(self):
         X = _samples(5000, 24, False)
-        assert np.array_equal(_pair_moments(X, np.float32)[1],
-                              _pair_moments(X.copy(), np.float32)[1])
+        assert np.array_equal(_pair_moments(_Raw(X), np.float32)[1],
+                              _pair_moments(_Raw(X.copy()), np.float32)[1])
 
 
 class TestPassPrecision:
