@@ -55,7 +55,14 @@ __all__ = [
 # about 5% faster and raised the peak by 1.4%), but never to fewer than
 # 256 rows, below which the per-chunk work outgrows the products (1 MB
 # chunks of 111 rows spent about a fifth of the n=48 pass on accumulator
-# adds).
+# adds).  Float32 chunks of the grouped layouts from n=7 to 11 (see
+# _group_edges) stop at _CENTER_ROWS, 4096 rows (0.59 MB of products at
+# n=8, against 2 MB for the 14 563 rows of the byte budget): each chunk's
+# products are read by several thin GEMMs there, and a buffer that stays in
+# the 2 MiB per-core L2 built n = 8, 9, 10 and 11 in 0.65 to 0.79 of the
+# time at N=2e5 (won 9 of 9 at each n), n=8 at N=1e6 in 0.76 (5 of 5).
+# One syrk reads its chunk once: the cap was neutral at n=6 and 7 and cost
+# 3-16% at n = 12..15, which keep the byte budget.
 _BUFFER_BYTES = 2 << 20
 _MIN_ROWS = 256
 
@@ -64,33 +71,38 @@ _MIN_ROWS = 256
 # one transposing subtraction took two to three times as long.
 _CENTER_ROWS = 4096
 
-# Real data from n=12 on whose covariance is well conditioned takes the
+# Real data from n=6 on whose covariance is well conditioned takes the
 # moment pass in float32: the pair products and block GEMMs run in single
 # precision (sgemm) and each block's sum is added into the float64
-# accumulator.  Pass time at N=2e5 on 2 vCPUs, float32 over float64,
-# median of 5:
+# accumulator.  Build time (covariance and guard included) at N=2e5 on 2
+# vCPUs, float32 over float64, median of 7 alternating runs:
 #
-#   n       8     10    11    12    13    16    24
-#   ratio   1.04  0.86  0.84  0.65  0.57  0.57  0.56
+#   n       3     4     5     6     7     8     9     10    11    12
+#   ratio   0.98  0.97  0.89  0.77  0.70  0.71  0.58  0.77  0.78  0.71
+#   won     6/7   6/7   7/7   7/7   7/7   7/7   7/7   7/7   7/7   7/7
 #
-# (n=12 read 0.69 in a second run; n=40 at N=1e5: 0.70 s against 1.11 s).
-# n=10 and 11 gain less and stay in float64, as does every smaller n.  The
-# rounding moves each moment by at most about 1e-6 of the moments of |x|,
-# far below the kurtosis sampling error sqrt(24/N) that the z gate tests
-# against.  The conditioning test is required.  Rounding the data lifts the
-# null-space eigenvalues of C for a singular covariance (noise-free data
-# with m < n, or N < n) from about 1e-17 to about 1e-8 of the largest,
-# above the n*eps rank cutoff: C then had full rank, n=12, m=8 data failed
-# to recover, and at n=16, m=12, N=2e4 the estimate kept a column 83.5
-# degrees off.  So the smallest covariance eigenvalue must be at least 1e-6
-# of the largest.
-_FLOAT32_MIN_DIM = 12
+# (n=40 at N=1e5: 0.70 s against 1.11 s).  From n=6 float32 also won at
+# N=1e4 (13 of 15 runs), 3e4 (14 of 15) and 1e6 (5 of 5); n=5 won 8 of 15
+# at N=1e4 and 10 of 15 at 3e4, so it stays in float64, as does every
+# smaller n.  The rounding moves each moment by at most about 1e-6 of the
+# moments of |x| (3e-7 measured), far below the kurtosis sampling error
+# sqrt(24/N) that the z gate tests against.  The conditioning test is
+# required.  Rounding the data lifts the null-space eigenvalues of C for a
+# singular covariance (noise-free data with m < n, or N < n) from about
+# 1e-17 to about 1e-8 of the largest, above the n*eps rank cutoff: C then
+# had full rank, n=12, m=8 data failed to recover, and at n=16, m=12,
+# N=2e4 the estimate kept a column 83.5 degrees off.  So the smallest
+# covariance eigenvalue must be at least 1e-6 of the largest.
+_FLOAT32_MIN_DIM = 6
 _FLOAT32_MIN_EIG_RATIO = 1e-6
 
 
-def _chunk_rows(n_pairs, itemsize):
-    """Samples per chunk of the moment pass over ``n_pairs`` pair products."""
-    return max(_MIN_ROWS, _BUFFER_BYTES // (n_pairs * itemsize))
+def _chunk_rows(n, itemsize):
+    """Samples per chunk of the moment pass over the pair products of ``n``."""
+    rows = max(_MIN_ROWS, _BUFFER_BYTES // (n * (n + 1) // 2 * itemsize))
+    if itemsize == 4 and len(_group_edges(n)) > 2:
+        rows = min(rows, _CENTER_ROWS)
+    return rows
 
 
 class SampleSet:
@@ -187,7 +199,7 @@ class CumulantOracle:
     ``CumulantOracle(samples)`` builds the tensors from the moments of one
     chunked pass over the samples (at most ``N P(P+1)/2`` multiply-adds,
     fewer at n = 7..11 and from n=24 on: see :func:`_pair_layout`; in
-    float32 for real, well-conditioned data from n=12 on: see
+    float32 for real, well-conditioned data from n=6 on: see
     ``_FLOAT32_MIN_DIM``) and from
     their covariance :attr:`SampleSet.cov`; ``grad_f`` is then the
     exact gradient of the sample ``f`` and ``C`` the rescaled sum of its
@@ -495,10 +507,11 @@ def _pair_moments(samples, dtype=None):
     the working dtype of the chunks, their products and the block GEMMs
     (the samples' own when None); the accumulator and the results keep the
     samples' float64 or complex128.  :class:`CumulantOracle` passes float32
-    for real, well-conditioned data from n=12 on (see ``_FLOAT32_MIN_DIM``):
-    each chunk is then cast to float32, the GEMMs run as sgemm, and each
-    block's sum is added in float64, which leaves every moment within 1e-6
-    of the moments of ``|x|`` (5.4e-7 measured).  For complex
+    for real, well-conditioned data from n=6 on (see ``_FLOAT32_MIN_DIM``):
+    each chunk, of at most 4096 rows from n=7 to 11, is then cast to
+    float32, the GEMMs run as sgemm, and each block's sum is added in
+    float64, which leaves every moment within 1e-6 of the moments of
+    ``|x|`` (5.4e-7 measured).  For complex
     data ``z = a + ib`` one real syrk of the stacked ``[a; b]`` accumulates
     ``a a^T``, ``a b^T`` and ``b b^T``, which give both
     ``G = (a a^T - b b^T) + i (a b^T + b a^T)`` and
@@ -510,7 +523,7 @@ def _pair_moments(samples, dtype=None):
     work = exact if dtype is None else np.dtype(dtype)
     layout = _pair_layout(n)
     n_pairs = layout.order.size
-    rows = min(N, _chunk_rows(n_pairs, work.itemsize))
+    rows = min(N, _chunk_rows(n, work.itemsize))
     xt = np.empty((n, rows), dtype=work) if work != exact else None
     z = np.empty((n_pairs, rows), dtype=work)
     acc = np.zeros(layout.size, dtype=exact)

@@ -236,3 +236,16 @@ class TestSharedEstimate:
         rows = [r for r in run_benchmark(cfg) if r.trial == "3"]
         assert [r.status for r in rows] == ["ok"]
         assert rows[0].max_column_angle_deg < 20.0
+
+
+def test_sweep_workload_config_recovers_every_row():
+    # the benchmark's sweep workload: n=8 takes the float32 moment pass, and
+    # the oracle_ainv losses do not read the estimate at all
+    cfg = RunConfig(n=8, m=8, samples=(10_000, 100_000), noise_powers=(0.1,), trials=10,
+                    seed=0, panel="paper", cond=3.0, epsilon=1e-6, timing=False,
+                    algorithms=("pegi_sinr", "pegi_pinv", "oracle_ainv", "oracle_sinropt"))
+    rows = [r for r in run_benchmark(cfg) if r.trial != "mean"]
+    assert len(rows) == 80
+    assert [r for r in rows if r.status != "ok"] == []
+    ainv = [r.mean_sinr_loss_db for r in rows if r.algorithm == "oracle_ainv"]
+    assert float(np.mean(ainv)) == 0.6846187201699251

@@ -322,8 +322,8 @@ class TestBlasThreads:
 
     The moment pass and the covariance run BLAS products whose summation
     order may follow the thread count.  On a 2-CPU host n=8 came out bitwise
-    equal and n=24 (float32 pass) within 1.1e-7 per entry and 1.5e-5
-    degrees per column.
+    equal (also at N=1e5; both n take the float32 pass) and n=24 within
+    1.1e-7 per entry and 1.5e-5 degrees per column.
     """
 
     @pytest.mark.parametrize("n, samples", [(8, 20000), (24, 50000)])

@@ -505,7 +505,7 @@ def _sorted_quadruples(n):
 
 def _edge_samples(n, edge, itemsize):
     # N on and around the moment pass's chunk boundary for this item size
-    rows = _chunk_rows(n * (n + 1) // 2, itemsize)
+    rows = _chunk_rows(n, itemsize)
     return {"two": 2, "rows_minus_one": rows - 1, "rows": rows,
             "two_rows_plus_one": 2 * rows + 1}[edge]
 
@@ -571,13 +571,15 @@ class TestPairMomentsFloat32:
     """The float32 pass: single-precision chunks, products and GEMMs, each
     block's sum added into the float64 accumulator.
 
-    Its N sit on and around the float32 chunk boundary, which holds twice
-    the float64 rows.  Every moment stays within 1e-6 of the moments of
-    |x| (5.4e-7 measured), where the float64 pass stays within 1e-13.
+    Its N sit on and around the float32 chunk boundary: 4096 rows at n=8
+    and 11, where the grouped layout caps the chunk, and twice the float64
+    rows at n = 6, 12, 24 and 37.  Every moment stays within 1e-6 of the
+    moments of |x| (2.9e-7 measured at n = 6, 8 and 11, 5.4e-7 at n=37),
+    where the float64 pass stays within 1e-13.
     """
 
     @pytest.mark.parametrize("edge", ["two", "rows_minus_one", "rows", "two_rows_plus_one"])
-    @pytest.mark.parametrize("n", [12, 24, 37])
+    @pytest.mark.parametrize("n", [6, 8, 11, 12, 24, 37])
     def test_matches_dense_products(self, n, edge):
         X = _samples(_edge_samples(n, edge, 4), n, False)
         P, G, K = _pair_moments(_Raw(X), np.float32)
@@ -586,11 +588,18 @@ class TestPairMomentsFloat32:
         scale = _dense_moments(np.abs(X))[1]
         assert np.max(np.abs(G - reference)) <= 1e-6 * np.max(scale)
 
-    @pytest.mark.parametrize("n", [12, 24, 37])
+    @pytest.mark.parametrize("n", [6, 8, 11, 12, 24, 37])
     def test_equal_moments_are_bitwise_equal(self, n):
         G = _pair_moments(_Raw(_samples(3001, n, False)), np.float32)[1].ravel()
         _, first, which = np.unique(_sorted_quadruples(n), return_index=True, return_inverse=True)
         assert np.array_equal(G, G[first[which]])
+
+    def test_grouped_layouts_cap_float32_chunks(self):
+        # n=7 to 11 stop at 4096 rows; one-group layouts and float64 chunks
+        # keep the 2 MB budget, so float64 results keep their bits
+        rows = [_chunk_rows(n, 4) for n in (6, 7, 8, 11, 12, 16, 24)]
+        assert rows == [24966, 4096, 4096, 4096, 6721, 3855, 1747]
+        assert [_chunk_rows(n, 8) for n in (6, 8, 11, 12)] == [12483, 7281, 3971, 3360]
 
     def test_rebuild_is_bitwise_identical(self):
         X = _samples(5000, 24, False)
@@ -630,6 +639,30 @@ class TestPassPrecision:
 
     def test_complex_data_stays_float64(self, monkeypatch):
         samples = center(_samples(5000, 12, True))
+        oracle = CumulantOracle(samples)
+        reference = self._float64_oracle(samples, monkeypatch)
+        assert np.array_equal(oracle._Q, reference._Q)
+        assert np.array_equal(oracle._Qc, reference._Qc)
+
+    # n=8, the size of the tall, sweep and cli_chain benchmarks
+    def test_well_conditioned_n8_takes_float32(self, monkeypatch):
+        samples = center(draw_batch(make_model(8, 8, noise_power=0.1, seed=0), 10_000,
+                                    seed=0).X)
+        Q = CumulantOracle(samples)._Q
+        reference = self._float64_oracle(samples, monkeypatch)._Q
+        assert not np.array_equal(Q, reference)
+        scale = np.max(_dense_moments(np.abs(samples.data))[1])
+        assert np.max(np.abs(Q - reference)) <= 1e-6 * scale
+
+    def test_singular_n8_covariance_stays_float64(self, monkeypatch):
+        model = make_model(8, 6, noise_power=0.0, seed=0)
+        samples = center(draw_batch(model, 20_000, seed=0).X)
+        oracle = CumulantOracle(samples)
+        assert build_C(oracle).rank == 6
+        assert np.array_equal(oracle._Q, self._float64_oracle(samples, monkeypatch)._Q)
+
+    def test_complex_n8_stays_float64(self, monkeypatch):
+        samples = center(_samples(20_000, 8, True))
         oracle = CumulantOracle(samples)
         reference = self._float64_oracle(samples, monkeypatch)
         assert np.array_equal(oracle._Q, reference._Q)

@@ -5,12 +5,14 @@ statistics of the same samples, in a different order of floating-point
 operations.  A model-built oracle and the closed forms below compute the
 same exact cumulants of a known mixture.  Every functional must agree to
 ``RTOL`` relative to the reference's largest magnitude; observed
-differences stay below 1e-11 (the largest at N = 2).  Real data from n=12
+differences stay below 1e-11 (the largest at N = 2).  Real data from n=6
 on with a well-conditioned covariance takes the float32 moment pass, so
-there the bound is ``RTOL_FLOAT32`` = 1e-4; observed differences stay
-below 1e-5 (the largest, 9.4e-6, in ``source_z_score``, whose direction
-``cov(X)^+ column`` cancels most of the moments), and the columns of an
-estimate move by at most 1e-3 degrees (3.1e-5 observed).
+at n=8 and n=12 the bound is ``RTOL_FLOAT32`` = 1e-4; observed differences
+stay below 1e-5 (the largest, 9.4e-6, in ``source_z_score``, whose
+direction ``cov(X)^+ column`` cancels most of the moments), and the columns
+of an estimate move by at most 1e-3 degrees (3.1e-5 observed at n=12,
+1.1e-5 at n=8).  Real n=8 data is also checked with the float32 pass
+switched off, at the float64 bounds.
 """
 
 import numpy as np
@@ -25,6 +27,7 @@ from pegica import (
     match_columns,
     pegi_full,
 )
+from pegica import cumulants
 from pegica.cumulants import _chunk_rows
 from conftest import make_test_model
 from per_sample_oracle import PerSampleOracle
@@ -54,7 +57,7 @@ def _oracles(n, N, complex_field):
 def _check_functionals(n, edge, complex_field, rng, float32=False):
     # the moment pass's own chunk rule, so N straddles its chunk boundaries
     itemsize = 4 if float32 else 16 if complex_field else 8
-    rows = _chunk_rows(n * (n + 1) // 2, itemsize)
+    rows = _chunk_rows(n, itemsize)
     N = {"two": 2, "below_chunk": rows // 3, "chunks_plus_one": 2 * rows + 1}[edge]
     rtol = RTOL_FLOAT32 if float32 else RTOL
     oracle, reference = _oracles(n, N, complex_field)
@@ -87,15 +90,21 @@ def test_functionals_match_per_sample_formulas(edge, complex_field, rng):
 
 
 # n=8 is the size of the tall, sweep and cli_chain benchmarks, and the
-# moment pass cuts its middle index into three groups
+# moment pass cuts its middle index into three groups; real data there takes
+# the float32 pass, except at N = 2, whose singular covariance keeps it on
+# float64
 @COMPLEX
 @EDGES
 def test_functionals_match_per_sample_formulas_at_n8(edge, complex_field, rng):
-    _check_functionals(8, edge, complex_field, rng)
+    _check_functionals(8, edge, complex_field, rng, float32=not complex_field)
 
 
-# from n=12 real data takes the float32 moment pass, except at N = 2,
-# whose singular covariance keeps it on float64
+@EDGES
+def test_float64_pass_matches_per_sample_formulas_at_n8(edge, rng, monkeypatch):
+    monkeypatch.setattr(cumulants, "_FLOAT32_MIN_DIM", np.inf)
+    _check_functionals(8, edge, False, rng)
+
+
 @EDGES
 def test_functionals_match_per_sample_formulas_at_n12(edge, rng):
     _check_functionals(12, edge, False, rng, float32=True)
@@ -108,7 +117,12 @@ def test_pegi_full_matches_reference_estimate(complex_field):
 
 @COMPLEX
 def test_pegi_full_matches_reference_estimate_at_n8(complex_field):
-    _check_estimate(8, complex_field)
+    _check_estimate(8, complex_field, max_degrees=1e-6 if complex_field else 1e-3)
+
+
+def test_float64_pass_matches_reference_estimate_at_n8(monkeypatch):
+    monkeypatch.setattr(cumulants, "_FLOAT32_MIN_DIM", np.inf)
+    _check_estimate(8, False)
 
 
 def test_pegi_full_matches_reference_estimate_at_n12():

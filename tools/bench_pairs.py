@@ -13,6 +13,12 @@ falls on both sides alike.  The parent (``--parent``, ``HEAD`` by default)
 is extracted with ``git archive`` into a temporary directory, which is
 removed afterwards.
 
+With ``--trace``, each pair also runs both sides once more with
+``--trace 1``, in the same order, and the file gains the same summary over
+the per-layer metrics of ``BENCHMARK.json`` (``per_layer``).  The traced
+runs are separate: their shims cost time, so they never enter the
+end-to-end summary.
+
 The result goes to ``BENCH_<tag>.json`` at the repository root: every run's
 metrics, each side's median and quartiles per end-to-end metric of
 ``BENCHMARK.json``, how many pairs the working tree won, lost and tied on
@@ -47,9 +53,9 @@ def extract(rev, into):
         tar.extractall(into, filter="data")
 
 
-def run_once(tree, workload, seed, seconds):
+def run_once(tree, workload, seed, seconds, trace=0):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds)]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
@@ -116,10 +122,13 @@ def main(argv=None):
     parser.add_argument("--workload", type=parse_workload, action="append", required=True,
                         help="NAME:SEED,SEED,... (one pair per seed; repeatable)")
     parser.add_argument("--parent", default="HEAD", help="commit to compare against")
+    parser.add_argument("--trace", action="store_true",
+                        help="also run each side with --trace 1 and summarize the layers")
     args = parser.parse_args(argv)
 
-    metrics = {m["name"]: m["better"]
-               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    layers = {m["name"]: m["better"] for m in declared["per_layer"]}
     parent = git("rev-parse", args.parent)
     report = {
         "tag": args.tag,
@@ -141,12 +150,17 @@ def main(argv=None):
                 run = {"pair": pair, "seed": seed, "first": order[0]}
                 for side in order:
                     run[side] = run_once(trees[side], workload, seed, args.seconds)
+                if args.trace:
+                    run["traced"] = {side: run_once(trees[side], workload, seed, args.seconds,
+                                                    trace=1) for side in order}
                 print(f"{workload} pair {pair} seed {seed}: " + ", ".join(
                     f"{side} op_s {run[side]['op_s']:.4g}" for side in ("parent", "change")),
                     file=sys.stderr, flush=True)
                 runs.append(run)
-            report["workloads"][workload] = {
+            entry = report["workloads"][workload] = {
                 "seeds": seeds, "runs": runs, "summary": summarize(runs, metrics)}
+            if args.trace:
+                entry["per_layer"] = summarize([run["traced"] for run in runs], layers)
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(out)
