@@ -112,9 +112,9 @@ class SampleSet:
     a C-ordered copy) and keeps the input, uncopied if C-ordered float64 or
     complex128, until the first use of the centered samples: keep it
     unchanged until then.  The centered copy :attr:`data` is a new F-ordered
-    array, written by the first reader: the oracle's moment pass chunk by
-    chunk, or :attr:`data` or :attr:`cov` all at once.  The input is never
-    mutated.
+    array, written whole at its first use; the input is then released, and
+    never mutated.  A ``nan`` or ``inf`` in the input raises ValueError
+    naming the first column (counted from 1) whose mean is not finite.
     """
 
     def __init__(self, data):
@@ -129,27 +129,21 @@ class SampleSet:
         # bitwise numpy's mean: it adds a C-ordered array's rows in order (as
         # einsum does, 2.5 times as fast at 1e6 x 8), but one column pairwise
         self._mean = raw.mean(axis=0) if self.dim == 1 else np.einsum("ij->j", raw) / len(raw)
+        # a nan or inf anywhere in a column leaves its mean non-finite
+        bad = np.flatnonzero(~np.isfinite(self._mean))
+        if bad.size:
+            raise ValueError(f"the mean of sample column {bad[0] + 1} of {self.dim} is not "
+                             "finite (nan, inf, or values too large to sum)")
 
-    @property
+    @cached_property
     def data(self):
         """The centered samples, N-by-n and F-ordered, written on first use."""
-        if self._raw is not None:
-            for _ in self._column_blocks(_CENTER_ROWS):
-                pass
-        return self._data
-
-    def _column_blocks(self, rows):
-        # the centered samples as n-by-rows column blocks of data.T, centered
-        # on the way by the first reader; the copy counts only once complete
-        if self._raw is None:
-            yield from (self._data.T[:, s:s + rows] for s in range(0, self.n_samples, rows))
-            return
         XT = np.empty((self.dim, self.n_samples), dtype=self._raw.dtype)
-        for s in range(0, self.n_samples, rows):
-            x = XT[:, s:s + rows]
-            np.subtract(self._raw[s:s + rows].T, self._mean[:, None], out=x)
-            yield x
-        self._data, self._raw = XT.T, None
+        for s in range(0, self.n_samples, _CENTER_ROWS):
+            np.subtract(self._raw[s:s + _CENTER_ROWS].T, self._mean[:, None],
+                        out=XT[:, s:s + _CENTER_ROWS])
+        self._raw = None
+        return XT.T
 
     @cached_property
     def cov(self):
@@ -174,14 +168,15 @@ def center(raw) -> SampleSet:
     Parameters
     ----------
     raw : array_like, shape (N, n)
-        Observed signals, one sample per row.  N must be at least 2.  Read
-        again at the first use of the centered samples: keep it unchanged.
+        Observed signals, one sample per row.  N must be at least 2, and
+        every value finite.  Read again at the first use of the centered
+        samples: keep it unchanged.
 
     Returns
     -------
     SampleSet
-        Centered copy of the input, written on first use; the same as
-        ``SampleSet(raw)``.
+        Centered copy of the input, written whole at its first use; the
+        same as ``SampleSet(raw)``.
     """
     return SampleSet(raw)
 
@@ -196,17 +191,17 @@ class CumulantOracle:
     a contraction of them: O(P^2) per ``f``, ``fstar``, ``grad_f`` or
     z-score call, and ``C`` is a partial trace of ``Qc``.
 
-    ``CumulantOracle(samples)`` builds the tensors from the moments of one
-    chunked pass over the samples (at most ``N P(P+1)/2`` multiply-adds,
-    fewer at n = 7..11 and from n=24 on: see :func:`_pair_layout`; in
-    float32 for real, well-conditioned data from n=6 on: see
-    ``_FLOAT32_MIN_DIM``) and from
-    their covariance :attr:`SampleSet.cov`; ``grad_f`` is then the
-    exact gradient of the sample ``f`` and ``C`` the rescaled sum of its
-    exact Hessians (of ``fstar``'s for complex data).  :meth:`from_mixing`
-    and :meth:`from_model` build them exactly from a mixing matrix and the
-    source cumulants; those oracles have no samples, and their z-scores
-    are None.
+    ``CumulantOracle(samples)`` eigendecomposes :attr:`SampleSet.cov` once,
+    for its pseudoinverse and for the float32 decision (real,
+    well-conditioned data from n=6 on: see ``_FLOAT32_MIN_DIM``), then
+    builds the tensors from the moments of one chunked pass over
+    :attr:`SampleSet.data` (at most ``N P(P+1)/2`` multiply-adds, fewer at
+    n = 7..11 and from n=24 on: see :func:`_pair_layout`).  ``grad_f`` is
+    then the exact gradient of the sample ``f`` and ``C`` the rescaled sum
+    of its exact Hessians (of ``fstar``'s for complex data).
+    :meth:`from_mixing` and :meth:`from_model` build them exactly from a
+    mixing matrix and the source cumulants; those oracles have no samples,
+    and their z-scores are None.
     """
 
     def __init__(self, samples: SampleSet):
@@ -214,15 +209,11 @@ class CumulantOracle:
             samples = center(samples)
         self.samples = samples
         self._index_pairs(samples.dim, samples.is_complex)
-        # only the float32 pass needs the covariance before it: otherwise the
-        # pass reads the raw samples and centers them as it goes
-        single = not self.is_complex and self.dim >= _FLOAT32_MIN_DIM
-        if single:
-            eigvals = hermitian_pinv(samples.cov)[2]
-            single = eigvals[0] >= _FLOAT32_MIN_EIG_RATIO * eigvals[-1]
-        P, G, K = _pair_moments(samples, np.float32 if single else None)
         S = samples.cov  # E[x x^H]
-        self._cov_pinv = hermitian_pinv(S)[0]
+        self._cov_pinv, _, eigvals = hermitian_pinv(S)
+        single = (not self.is_complex and self.dim >= _FLOAT32_MIN_DIM
+                  and eigvals[0] >= _FLOAT32_MIN_EIG_RATIO * eigvals[-1])
+        P, G, K = _pair_moments(samples.data.T, np.float32 if single else None)
         if P is None:
             P = S
         # subtract the Gaussian (Isserlis) part of the fourth moments once
@@ -491,13 +482,13 @@ def _pair_layout(n):
     return _PairLayout(tuple(groups), tuple(products), size, order, gather)
 
 
-def _pair_moments(samples, dtype=None):
-    """One chunked pass over a :class:`SampleSet`'s n-by-rows column blocks.
+def _pair_moments(XT, dtype=None):
+    """One chunked pass over the columns of the centered n-by-N samples ``XT``.
 
-    A sample set read here first centers each chunk into its copy on the
-    way, and the float64 pass forms the chunk's products from that block.
-    Returns ``P = E[x x^T]``, ``G = E[z z^T]`` and ``K = E[z z^H]`` for the
-    pair products ``z = x[iu] * x[ju]``, ``iu, ju = np.triu_indices(n)``.
+    The float64 pass forms each chunk's products straight from its
+    n-by-rows slice ``XT[:, s:s + rows]``.  Returns ``P = E[x x^T]``,
+    ``G = E[z z^T]`` and ``K = E[z z^H]`` for the pair products
+    ``z = x[iu] * x[ju]``, ``iu, ju = np.triu_indices(n)``.
     For real data ``P`` is None, because it is the covariance, which
     :attr:`SampleSet.cov` computes once per sample set, and ``K`` is ``G``.
     Each chunk's pair products are formed once, by broadcasting
@@ -505,8 +496,8 @@ def _pair_moments(samples, dtype=None):
     :func:`_pair_layout`.  For real data ``G`` is accumulated as the
     layout's block products and expanded once at the end.  ``dtype`` is
     the working dtype of the chunks, their products and the block GEMMs
-    (the samples' own when None); the accumulator and the results keep the
-    samples' float64 or complex128.  :class:`CumulantOracle` passes float32
+    (that of ``XT`` when None); the accumulator and the results keep
+    ``XT``'s float64 or complex128.  :class:`CumulantOracle` passes float32
     for real, well-conditioned data from n=6 on (see ``_FLOAT32_MIN_DIM``):
     each chunk, of at most 4096 rows from n=7 to 11, is then cast to
     float32, the GEMMs run as sgemm, and each block's sum is added in
@@ -518,8 +509,8 @@ def _pair_moments(samples, dtype=None):
     ``K = (a a^T + b b^T) + i (b a^T - a b^T)``; ``G`` then reads the
     layout's blocks from that product, so its expansion is the same.
     """
-    N, n, cplx = samples.n_samples, samples.dim, samples.is_complex
-    exact = np.dtype(complex if cplx else float)
+    (n, N), cplx = XT.shape, np.iscomplexobj(XT)
+    exact = XT.dtype
     work = exact if dtype is None else np.dtype(dtype)
     layout = _pair_layout(n)
     n_pairs = layout.order.size
@@ -534,7 +525,8 @@ def _pair_moments(samples, dtype=None):
     else:
         block = np.empty(max(part.stop - part.start for _, _, part in layout.products),
                          dtype=work)
-    for x in samples._column_blocks(rows):
+    for s in range(0, N, rows):
+        x = XT[:, s:s + rows]
         if xt is not None:
             np.copyto(xt[:, :x.shape[1]], x)
             x = xt[:, :x.shape[1]]

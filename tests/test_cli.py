@@ -135,6 +135,18 @@ class TestEstimate:
         code = run_cli("estimate", bad, "--m", 2, "--out", tmp_path / "o")
         assert code == 3
 
+    @pytest.mark.parametrize("N", [4, 5000])
+    def test_non_finite_samples_are_usage_error(self, tmp_path, rng, capsys, N):
+        # without the check, N=4 ends as a partial recovery and N=5000 in the
+        # eigensolver
+        X = rng.laplace(size=(N, 2))
+        X[1, 1] = np.nan
+        write_matrix_csv(tmp_path / "X.csv", X)
+        code = run_cli("estimate", tmp_path / "X.csv", "--m", 2, "--out", tmp_path / "o")
+        assert code == 2
+        assert "sample column 2 of 2 is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "A_hat.csv").exists()
+
 
 class TestDemix:
     def test_identity_model_recovers_sources(self, tmp_path):
@@ -205,6 +217,18 @@ class TestDemix:
         write_matrix_csv(bad, np.eye(3))
         code = run_cli("demix", sim_dir / "X.csv", bad, "--out", tmp_path / "d")
         assert code == 2
+
+    @pytest.mark.parametrize("mode", ["sinr_opt", "pinv"])
+    def test_non_finite_samples_are_usage_error(self, tmp_path, rng, capsys, mode):
+        X = rng.laplace(size=(4, 2))
+        X[2, 0] = np.inf
+        write_matrix_csv(tmp_path / "X.csv", X)
+        write_matrix_csv(tmp_path / "A_hat.csv", np.eye(2))
+        code = run_cli("demix", tmp_path / "X.csv", tmp_path / "A_hat.csv", "--mode", mode,
+                       "--out", tmp_path / "d")
+        assert code == 2
+        assert "sample column 1 of 2 is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "d" / "S_hat.csv").exists()
 
     def test_partial_estimate_is_refused(self, tmp_path, rng, capsys):
         gauss = tmp_path / "gauss.csv"

@@ -41,6 +41,15 @@ class TestCenter:
         with pytest.raises(InsufficientDataError):
             center(np.array([[1.0, 2.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)],
+                             ids=["nan", "inf", "-inf", "complex_nan"])
+    def test_non_finite_samples_rejected(self, rng, bad):
+        raw = rng.standard_normal((50, 4)).astype(type(bad))
+        # the first bad column is named, counted from 1
+        raw[7, 1] = raw[3, 3] = bad
+        with pytest.raises(ValueError, match="column 2 of 4 is not finite"):
+            SampleSet(raw)
+
     def test_column_mean_invariant(self, rng):
         raw = 100.0 + 50.0 * rng.standard_normal((10_000, 4))
         out = center(raw)
@@ -133,12 +142,14 @@ _LAYOUTS = _layouts(np.random.default_rng(7))
 
 
 class TestLazyCentering:
-    """A SampleSet computes its column means when built and its centered
-    copy at first use, by whichever reader comes first.
+    """A SampleSet computes its column means when built and its whole
+    centered copy at first use, by whichever reader comes first: ``data``,
+    ``cov``, or the oracle (``"pass"``), which reads ``cov`` and then runs
+    the moment pass over the finished copy.
 
-    Pass-first N leave a partial last chunk of the moment pass (7281 float64
-    rows at n=8, 1747 float32 rows at n=24, 3640 complex rows at n=8) and of
-    the whole-batch centering (4096 rows).
+    The N leave a partial last chunk of the centering (4096 rows) and of the
+    moment pass (7281 float64 rows at n=8, 1747 float32 rows at n=24, 3640
+    complex rows at n=8).
     """
 
     @pytest.mark.parametrize("name", list(_LAYOUTS))
@@ -510,18 +521,6 @@ def _edge_samples(n, edge, itemsize):
             "two_rows_plus_one": 2 * rows + 1}[edge]
 
 
-class _Raw:
-    """``X`` as the moment pass reads a sample set, without centering it."""
-
-    def __init__(self, X):
-        self.n_samples, self.dim = X.shape
-        self.is_complex = np.iscomplexobj(X)
-        self._X = X
-
-    def _column_blocks(self, rows):
-        return (self._X[s:s + rows].T for s in range(0, self.n_samples, rows))
-
-
 def _samples(N, n, complex_field, seed=5):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((N, n))
@@ -542,7 +541,7 @@ class TestPairMoments:
     @pytest.mark.parametrize("n", [1, 2, 5, 7, 8, 9, 10, 11, 24, 37])
     def test_matches_dense_products(self, n, edge, complex_field):
         X = _samples(_edge_samples(n, edge, 16 if complex_field else 8), n, complex_field)
-        P, G, K = _pair_moments(_Raw(X))
+        P, G, K = _pair_moments(X.T)
         # for real data P is the covariance, which the pass leaves to SampleSet
         assert (P is None) == (not complex_field)
         # relative to the moments of |x|, which bound every sum's terms
@@ -556,14 +555,14 @@ class TestPairMoments:
     @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [5, 7, 8, 9, 10, 11, 24, 37])
     def test_equal_moments_are_bitwise_equal(self, n, complex_field):
-        G = _pair_moments(_Raw(_samples(3001, n, complex_field)))[1].ravel()
+        G = _pair_moments(_samples(3001, n, complex_field).T)[1].ravel()
         _, first, which = np.unique(_sorted_quadruples(n), return_index=True, return_inverse=True)
         assert np.array_equal(G, G[first[which]])
 
     @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
     def test_rebuild_is_bitwise_identical(self, complex_field):
         X = _samples(5000, 24, complex_field)
-        for first, second in zip(_pair_moments(_Raw(X)), _pair_moments(_Raw(X.copy()))):
+        for first, second in zip(_pair_moments(X.T), _pair_moments(X.copy().T)):
             assert (first is None and second is None) or np.array_equal(first, second)
 
 
@@ -582,7 +581,7 @@ class TestPairMomentsFloat32:
     @pytest.mark.parametrize("n", [6, 8, 11, 12, 24, 37])
     def test_matches_dense_products(self, n, edge):
         X = _samples(_edge_samples(n, edge, 4), n, False)
-        P, G, K = _pair_moments(_Raw(X), np.float32)
+        P, G, K = _pair_moments(X.T, np.float32)
         assert P is None and K is G and G.dtype == np.float64
         _, reference, _ = _dense_moments(X)
         scale = _dense_moments(np.abs(X))[1]
@@ -590,7 +589,7 @@ class TestPairMomentsFloat32:
 
     @pytest.mark.parametrize("n", [6, 8, 11, 12, 24, 37])
     def test_equal_moments_are_bitwise_equal(self, n):
-        G = _pair_moments(_Raw(_samples(3001, n, False)), np.float32)[1].ravel()
+        G = _pair_moments(_samples(3001, n, False).T, np.float32)[1].ravel()
         _, first, which = np.unique(_sorted_quadruples(n), return_index=True, return_inverse=True)
         assert np.array_equal(G, G[first[which]])
 
@@ -603,8 +602,8 @@ class TestPairMomentsFloat32:
 
     def test_rebuild_is_bitwise_identical(self):
         X = _samples(5000, 24, False)
-        assert np.array_equal(_pair_moments(_Raw(X), np.float32)[1],
-                              _pair_moments(_Raw(X.copy()), np.float32)[1])
+        assert np.array_equal(_pair_moments(X.T, np.float32)[1],
+                              _pair_moments(X.copy().T, np.float32)[1])
 
 
 class TestPassPrecision:

@@ -23,7 +23,16 @@ The result goes to ``BENCH_<tag>.json`` at the repository root: every run's
 metrics, each side's median and quartiles per end-to-end metric of
 ``BENCHMARK.json``, how many pairs the working tree won, lost and tied on
 each, the seeds, ``--seconds`` and the machine (CPU count, Python, numpy,
-BLAS).  Standard library only; numpy is asked about in a child process.
+BLAS).  Each metric that declares a ``bound`` also gets a no-regression
+verdict:
+
+* ``regressed``: the working tree's median is worse than the parent's by
+  more than ``bound`` times the parent's median;
+* ``unresolved``: the parent's own quartile spread exceeds ``bound`` times
+  its median, so its runs spread too widely to tell, unless every run of the
+  working tree beats every run of the parent.
+
+Standard library only; numpy is asked about in a child process.
 """
 
 import argparse
@@ -72,8 +81,11 @@ def quartiles(values):
 
 
 def summarize(runs, metrics):
+    """Per-metric summary of paired runs; ``metrics`` maps each name to its
+    ``BENCHMARK.json`` declaration (``better``, and ``bound`` if it has one)."""
     summary = {}
-    for name, better in metrics.items():
+    for name, declared in metrics.items():
+        better = declared["better"]
         sides = {side: [run[side][name] for run in runs] for side in ("parent", "change")}
         sign = 1 if better == "lower" else -1
         diffs = [sign * (p - c) for p, c in zip(sides["parent"], sides["change"])]
@@ -85,8 +97,14 @@ def summarize(runs, metrics):
         entry["change_losses"] = sum(d < 0 for d in diffs)
         entry["ties"] = sum(d == 0 for d in diffs)
         gap = sign * (entry["parent"]["median"] - entry["change"]["median"])
-        entry["median_gain_over_parent_iqr"] = (
-            gap > entry["parent"]["q3"] - entry["parent"]["q1"])
+        spread = entry["parent"]["q3"] - entry["parent"]["q1"]
+        entry["median_gain_over_parent_iqr"] = gap > spread
+        if "bound" in declared:
+            tolerance = declared["bound"] * abs(entry["parent"]["median"])
+            entry["regressed"] = -gap > tolerance
+            every_run_beats = all(sign * (p - c) > 0
+                                  for p in sides["parent"] for c in sides["change"])
+            entry["unresolved"] = spread > tolerance and not every_run_beats
         summary[name] = entry
     return summary
 
@@ -127,8 +145,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
-    metrics = {m["name"]: m["better"] for m in declared["end_to_end"]}
-    layers = {m["name"]: m["better"] for m in declared["per_layer"]}
+    metrics = {m["name"]: m for m in declared["end_to_end"]}
+    layers = {m["name"]: m for m in declared["per_layer"]}
     parent = git("rev-parse", args.parent)
     report = {
         "tag": args.tag,
