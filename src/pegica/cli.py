@@ -160,6 +160,15 @@ def cmd_demix(args):
     outdir = _out_dir(args.out)
     X = parse_matrix_csv(args.samples_file)
     A_hat = parse_matrix_csv(args.estimate_file)
+    bad = np.argwhere(~np.isfinite(A_hat))
+    if bad.size:
+        row, col = bad[0] + 1
+        print(
+            f"error: {args.estimate_file}: row {row}, column {col} of the estimate "
+            "is not finite; no demixer written",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     if A_hat.shape[0] != X.shape[1]:
         print(
             f"error: estimate has {A_hat.shape[0]} rows but samples have "

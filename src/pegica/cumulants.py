@@ -47,7 +47,7 @@ __all__ = [
 # The oracle's pass over the samples forms one chunk's pair products at a
 # time, in a P x rows buffer reused across chunks (and the float32 pass
 # casts each chunk into an n x rows buffer).  Every chunk costs a
-# fixed number of numpy and BLAS calls and one add of its block products
+# fixed number of numpy and BLAS calls and one add of its staged products
 # into the accumulator, so chunks are sized in rows from P and the item
 # size of the working dtype: the buffer is held to about 2 MB (873 float64
 # or 1747 float32 rows at n=24, 7281 float64 rows at n=8), because it adds
@@ -58,11 +58,13 @@ __all__ = [
 # adds).  Float32 chunks of the grouped layouts from n=7 to 11 (see
 # _group_edges) stop at _CENTER_ROWS, 4096 rows (0.59 MB of products at
 # n=8, against 2 MB for the 14 563 rows of the byte budget): each chunk's
-# products are read by several thin GEMMs there, and a buffer that stays in
-# the 2 MiB per-core L2 built n = 8, 9, 10 and 11 in 0.65 to 0.79 of the
-# time at N=2e5 (won 9 of 9 at each n), n=8 at N=1e6 in 0.76 (5 of 5).
-# One syrk reads its chunk once: the cap was neutral at n=6 and 7 and cost
-# 3-16% at n = 12..15, which keep the byte budget.
+# products are read by several GEMMs there (four at n=8), and a buffer that
+# stays in the 2 MiB per-core L2 built n = 8, 9, 10 and 11 in 0.65 to 0.79
+# of the time at N=2e5 (won 9 of 9 at each n), n=8 at N=1e6 in 0.76 (5 of
+# 5).  With the four GEMMs, 2048-row chunks built n=8 at N=1e6 24% slower
+# and 8192-row chunks 120% slower (median of 5, 2 vCPUs).  One syrk reads
+# its chunk once: the cap was neutral at n=6 and 7 and cost 3-16% at
+# n = 12..15, which keep the byte budget.
 _BUFFER_BYTES = 2 << 20
 _MIN_ROWS = 256
 
@@ -73,9 +75,9 @@ _CENTER_ROWS = 4096
 
 # Real data from n=6 on whose covariance is well conditioned takes the
 # moment pass in float32: the pair products and block GEMMs run in single
-# precision (sgemm) and each block's sum is added into the float64
-# accumulator.  Build time (covariance and guard included) at N=2e5 on 2
-# vCPUs, float32 over float64, median of 7 alternating runs:
+# precision (sgemm) and each chunk's staged products are added into the
+# float64 accumulator.  Build time (covariance and guard included) at
+# N=2e5 on 2 vCPUs, float32 over float64, median of 7 alternating runs:
 #
 #   n       3     4     5     6     7     8     9     10    11    12
 #   ratio   0.98  0.97  0.89  0.77  0.70  0.71  0.58  0.77  0.78  0.71
@@ -405,7 +407,11 @@ def _group_edges(n):
     # ratio was 0.62 to 0.65 at N = 1e4, 1e5 and 1e6 (7 of 7 runs each).
     # Timed at n = 12..48, no narrower width beat these by more than the
     # spread.  At n=24 two groups ran the `wide` benchmark about 8% faster
-    # than one syrk (lower in 17 of 20 alternating runs).
+    # than one syrk (lower in 17 of 20 alternating runs).  With one GEMM per
+    # contiguous run (_pair_layout), [0, 3, 5, 8] still built n=8 fastest of
+    # seven layouts on float32 data at N=1e6; [0, 3, 6, 8] and [0, 2, 5, 8]
+    # came within 2%, [0, 4, 6, 8], [0, 2, 4, 8], [0, 4, 7, 8] and one group
+    # took 1.5 to 1.7 times as long (median of 5, 2 vCPUs).
     if n < 7:
         count = 1
     elif n < 12:
@@ -435,13 +441,24 @@ def _pair_layout(n):
     ``(i, j)``, in the group ``b`` of ``j``, and the right pair ``(k, l)``,
     in the group ``c >= b`` of ``l``, with ``k >= j0(b)``; in group ``c``
     the pairs whose first index is at least ``j0(b)`` form a contiguous
-    tail.  So one GEMM of group ``b`` against that tail of each group
-    ``c >= b`` covers every quadruple whose middle index ``j`` lies in
-    group ``b``, and all of them together hold each of the ``C(n+3, 4)``
-    distinct moments.  Quadruples with ``j`` and ``k`` in one group come
-    out more than once; ``gather`` reads every entry of ``G`` from the
-    first product holding its sorted quadruple, so equal moments are
-    bitwise equal; a layout whose products miss a moment raises
+    tail.  So group ``b`` against that tail of each group ``c >= b`` covers
+    every quadruple whose middle index ``j`` lies in group ``b``, and all
+    of them together hold each of the ``C(n+3, 4)`` distinct moments.
+    Group ``b`` makes one product per maximal contiguous run of its tails:
+    for the first group (``j0 = 0``) every tail is its whole group, so its
+    one product reads the whole buffer; a later group's tails are kept
+    apart by the pairs with ``i < j0``, one product each.  So n=8 makes
+    4 GEMMs, ``(6, 36), (9, 3), (9, 12), (21, 6)``, and n=24 makes
+    ``(78, 300), (222, 78)``.  Fewer, wider calls pay BLAS's per-call
+    packing less often, and no grouped layout multiplies a block by itself,
+    which numpy would send to syrk: in float32 with 4096-row chunks the
+    6-pair ``z[0:6] @ z[0:6].T`` took 8.5 ms per 1e6 rows as an ssyrk
+    against 1.7 ms for an sgemm of the same shape, and the first group's
+    one 6 x 36 sgemm 7.9 ms against 16.4 ms for its former three products
+    (best of 7, 2 vCPUs).  Quadruples with ``j`` and ``k`` in one group
+    come out more than once; ``gather`` reads every entry of ``G`` from
+    the first product entry holding its sorted quadruple, so equal moments
+    are bitwise equal; a layout whose products miss a moment raises
     RuntimeError.  With a single group the one product is ``z z^T``, which
     numpy computes as a syrk.
     """
@@ -458,8 +475,15 @@ def _pair_layout(n):
     products, keys, size = [], [], 0
     for b, (j0, _, first) in enumerate(groups):
         left = slice(first, ends[b])
+        runs = []  # [start, stop) of each maximal contiguous run of tails
         for (c0, c1, tail), end in zip(groups[b:], ends[b:]):
-            right = slice(tail + j0 * (c1 - c0), end)
+            start = tail + j0 * (c1 - c0)
+            if runs and runs[-1][1] == start:
+                runs[-1][1] = end
+            else:
+                runs.append([start, end])
+        for start, stop in runs:
+            right = slice(start, stop)
             keys.append(_quad_key(pair_i[left, None], pair_j[left, None],
                                   pair_i[right], pair_j[right], n).ravel())
             products.append((left, right, slice(size, size + keys[-1].size)))
@@ -493,14 +517,16 @@ def _pair_moments(XT, dtype=None):
     :attr:`SampleSet.cov` computes once per sample set, and ``K`` is ``G``.
     Each chunk's pair products are formed once, by broadcasting
     one row index against a run of others, in the block layout of
-    :func:`_pair_layout`.  For real data ``G`` is accumulated as the
-    layout's block products and expanded once at the end.  ``dtype`` is
-    the working dtype of the chunks, their products and the block GEMMs
-    (that of ``XT`` when None); the accumulator and the results keep
-    ``XT``'s float64 or complex128.  :class:`CumulantOracle` passes float32
-    for real, well-conditioned data from n=6 on (see ``_FLOAT32_MIN_DIM``):
+    :func:`_pair_layout`.  For real data every product of a chunk is
+    written into one staging buffer laid out like the accumulator, which
+    takes one add per chunk; ``G`` is expanded from it once at the end.
+    ``dtype`` is the working dtype of the chunks, their products and the
+    block GEMMs (that of ``XT`` when None); the accumulator and the results
+    keep ``XT``'s float64 or complex128.  :class:`CumulantOracle` passes
+    float32 for real, well-conditioned data from n=6 on (see
+    ``_FLOAT32_MIN_DIM``):
     each chunk, of at most 4096 rows from n=7 to 11, is then cast to
-    float32, the GEMMs run as sgemm, and each block's sum is added in
+    float32, the GEMMs run as sgemm, and the staged products are added in
     float64, which leaves every moment within 1e-6 of the moments of
     ``|x|`` (5.4e-7 measured).  For complex
     data ``z = a + ib`` one real syrk of the stacked ``[a; b]`` accumulates
@@ -523,8 +549,7 @@ def _pair_moments(XT, dtype=None):
         parts = np.empty((2 * n_pairs, rows))  # [Re z; Im z]
         W = np.zeros((2 * n_pairs, 2 * n_pairs))
     else:
-        block = np.empty(max(part.stop - part.start for _, _, part in layout.products),
-                         dtype=work)
+        stage = np.empty(layout.size, dtype=work)
     for s in range(0, N, rows):
         x = XT[:, s:s + rows]
         if xt is not None:
@@ -546,9 +571,9 @@ def _pair_moments(XT, dtype=None):
             W += w @ w.T
         else:
             for left, right, part in layout.products:
-                out = block[:part.stop - part.start].reshape(left.stop - left.start, -1)
-                np.matmul(zc[left], zc[right].T, out=out)
-                acc[part] += out.ravel()
+                np.matmul(zc[left], zc[right].T,
+                          out=stage[part].reshape(left.stop - left.start, -1))
+            acc += stage
     if cplx:
         aa, ab, bb = W[:n_pairs, :n_pairs], W[:n_pairs, n_pairs:], W[n_pairs:, n_pairs:]
         zz = (aa - bb) + 1j * (ab + ab.T)

@@ -107,9 +107,14 @@ def write_matrix_csv(path, M):
 
 
 def _write_rows(fh, M, fmt):
-    """Format the rows of ``M`` into ``fh``, one block of rows at a time."""
+    """Format the rows of ``M`` into ``fh``, one block of rows at a time.
+
+    Each block is copied C-ordered first, so an F-ordered matrix
+    (``DemixMatrix.apply``'s S_hat, ``draw_batch``'s S) is formatted from
+    the same row-major block as a C-ordered one.
+    """
     for start in range(0, len(M), _WRITE_BLOCK_ROWS):
-        block = M[start:start + _WRITE_BLOCK_ROWS].tolist()
+        block = np.ascontiguousarray(M[start:start + _WRITE_BLOCK_ROWS]).tolist()
         fh.writelines([",".join(map(fmt, row)) + "\n" for row in block])
 
 

@@ -75,3 +75,47 @@ def test_every_end_to_end_metric_of_the_benchmark_gets_a_verdict():
     for name, entry in summary.items():
         assert entry["regressed"] is False and entry["unresolved"] is False, name
         assert entry["ties"] == 3
+
+
+# ten parent runs 1.0 .. 1.9: median 1.45, inclusive quartiles 1.225 and 1.675
+_PARENT = [1.0 + 0.1 * k for k in range(10)]
+
+
+def _claim(change, better="lower"):
+    return summarize(_runs(_PARENT, change), {"op_s": {"better": better}})["op_s"]
+
+
+def test_nine_wins_inside_the_parent_spread_is_no_claim():
+    entry = _claim([p - 0.1 for p in _PARENT[:9]] + [_PARENT[9] + 0.1])
+    assert entry["change_wins"] == 9
+    assert entry["median_gain_over_parent_iqr"] is False
+    assert entry["claim_met"] is False
+
+
+def test_ten_wins_beyond_the_parent_spread_is_a_claim():
+    entry = _claim([p - 0.5 for p in _PARENT])
+    assert entry["change_wins"] == 10
+    assert entry["median_gain_over_parent_iqr"] is True
+    assert entry["claim_met"] is True
+
+
+@pytest.mark.parametrize("lost, tied, claim_met", [
+    (1, 0, True), (2, 0, False), (0, 1, True), (0, 2, False), (1, 1, False),
+], ids=["nine_won_one_lost", "eight_won", "nine_won_one_tie", "eight_won_two_ties",
+        "eight_won_one_tie"])
+def test_a_claim_needs_nine_tenths_of_the_pairs(lost, tied, claim_met):
+    # every gap beyond the parent's spread; ties count for neither side
+    change = [p - 1.0 for p in _PARENT]
+    for k in range(lost):
+        change[k] = _PARENT[k] + 0.1
+    for k in range(lost, lost + tied):
+        change[k] = _PARENT[k]
+    entry = _claim(change)
+    assert (entry["change_losses"], entry["ties"]) == (lost, tied)
+    assert entry["median_gain_over_parent_iqr"] is True
+    assert entry["claim_met"] is claim_met
+
+
+def test_a_claim_on_a_higher_is_better_metric():
+    assert _claim([p + 0.5 for p in _PARENT], better="higher")["claim_met"] is True
+    assert _claim([p - 0.5 for p in _PARENT], better="higher")["claim_met"] is False

@@ -230,6 +230,19 @@ class TestDemix:
         assert "sample column 1 of 2 is not finite" in capsys.readouterr().err
         assert not (tmp_path / "d" / "S_hat.csv").exists()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_estimate_is_usage_error(self, tmp_path, rng, capsys, value):
+        write_matrix_csv(tmp_path / "X.csv", rng.laplace(size=(1000, 3)))
+        A_hat = np.eye(3)
+        A_hat[2, 1] = A_hat[2, 2] = value
+        write_matrix_csv(tmp_path / "A_hat.csv", A_hat)
+        code = run_cli("demix", tmp_path / "X.csv", tmp_path / "A_hat.csv",
+                       "--out", tmp_path / "d")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'A_hat.csv'}: row 3, column 2 of the estimate is not finite" in err
+        assert not (tmp_path / "d" / "S_hat.csv").exists()
+
     def test_partial_estimate_is_refused(self, tmp_path, rng, capsys):
         gauss = tmp_path / "gauss.csv"
         write_matrix_csv(gauss, rng.standard_normal((20000, 3)))

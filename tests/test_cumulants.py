@@ -685,6 +685,29 @@ class TestPairLayout:
         assert np.array_equal(acc[layout.gather].ravel(), _sorted_quadruples(n))
         assert np.unique(acc).size == np.unique(layout.gather).size == comb(n + 3, 4)
 
+    @pytest.mark.parametrize("n", list(range(1, 27)) + [37, 48])
+    def test_one_product_per_contiguous_run_of_tails(self, n):
+        # a left group's right slices never abut: abutting ones would be one
+        # wider GEMM, which numpy runs faster than two thin ones
+        by_left = {}
+        for left, right, _ in _pair_layout(n).products:
+            by_left.setdefault((left.start, left.stop), []).append(right)
+        for rights in by_left.values():
+            assert all(a.stop != b.start for a, b in zip(rights, rights[1:]))
+        # the first group's one product reads the whole buffer
+        first = _pair_layout(n).products[0][1]
+        assert (first.start, first.stop) == (0, n * (n + 1) // 2)
+
+    @pytest.mark.parametrize("n, shapes", [
+        (5, [(15, 15)]),
+        (8, [(6, 36), (9, 3), (9, 12), (21, 6)]),
+        (12, [(78, 78)]),
+        (24, [(78, 300), (222, 78)]),
+    ])
+    def test_product_shapes(self, n, shapes):
+        assert [(left.stop - left.start, right.stop - right.start)
+                for left, right, _ in _pair_layout(n).products] == shapes
+
     def test_a_missing_moment_is_refused(self, monkeypatch):
         # groups that stop short of the last middle index miss its moments
         monkeypatch.setattr(cumulants, "_group_edges", lambda n: [0, n - 1])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pegica import (
+    DemixMatrix,
     GroundTruthModel,
     SampleSet,
     analytic_cov,
@@ -101,6 +102,28 @@ class TestSinrOptimalDemix:
         cov[0, 1] = 0.5
         with pytest.raises(ValueError):
             sinr_optimal_demix(np.eye(3), cov)
+
+
+class TestApply:
+    """``apply`` computes ``(B X^T)^T``, the same numbers as ``X B^T``."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [8, 24])
+    def test_real_data_bitwise_equal_to_x_bt(self, rng, n, order):
+        B = rng.standard_normal((n - 2, n))
+        X = np.asarray(rng.standard_normal((20_001, n)), order=order)
+        S = DemixMatrix(B).apply(X)
+        assert S.shape == (20_001, n - 2) and S.flags.f_contiguous
+        assert np.array_equal(S, X @ B.T)
+
+    @pytest.mark.parametrize("n", [8, 24])
+    def test_complex_data_matches_x_bt(self, rng, n):
+        B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        X = np.asfortranarray(rng.standard_normal((20_001, n))
+                              + 1j * rng.standard_normal((20_001, n)))
+        reference = X @ B.T
+        S = DemixMatrix(B).apply(X)
+        assert np.max(np.abs(S - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
 class TestSinrK:

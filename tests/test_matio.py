@@ -274,6 +274,19 @@ class TestForkedWriter:
         assert forks == [1]
         assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
 
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "forked"])
+    @pytest.mark.parametrize("make", [wide_exponent_matrix, negative_zero_imaginary_matrix])
+    def test_f_and_c_order_write_the_same_bytes(self, tmp_path, rng, forks, monkeypatch,
+                                                cpus, make):
+        # DemixMatrix.apply returns an F-ordered S_hat, DrawBatch.S is one
+        monkeypatch.setattr(matio, "_usable_cpus", lambda: cpus)
+        M = make(rng, 8193, 5)
+        write_matrix_csv(tmp_path / "c.csv", np.ascontiguousarray(M))
+        write_matrix_csv(tmp_path / "f.csv", np.asfortranarray(M))
+        assert len(forks) == 2 * (cpus - 1)
+        assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
+        assert (tmp_path / "c.csv").read_text() == reference_matrix_csv(M)
+
     def test_small_matrix_stays_serial(self, tmp_path, rng, forks):
         cols = 8
         M = rng.standard_normal((matio._PARALLEL_MIN_CELLS // cols - 1, cols))

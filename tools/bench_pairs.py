@@ -23,8 +23,13 @@ The result goes to ``BENCH_<tag>.json`` at the repository root: every run's
 metrics, each side's median and quartiles per end-to-end metric of
 ``BENCHMARK.json``, how many pairs the working tree won, lost and tied on
 each, the seeds, ``--seconds`` and the machine (CPU count, Python, numpy,
-BLAS).  Each metric that declares a ``bound`` also gets a no-regression
-verdict:
+BLAS).  Each metric gets a claim verdict, the rule a claimed gain must pass:
+
+* ``claim_met``: the working tree won at least nine tenths of the pairs
+  (ties count for neither side) and its median beats the parent's by more
+  than the parent's quartile spread (``median_gain_over_parent_iqr``).
+
+Each metric that declares a ``bound`` also gets a no-regression verdict:
 
 * ``regressed``: the working tree's median is worse than the parent's by
   more than ``bound`` times the parent's median;
@@ -99,6 +104,8 @@ def summarize(runs, metrics):
         gap = sign * (entry["parent"]["median"] - entry["change"]["median"])
         spread = entry["parent"]["q3"] - entry["parent"]["q1"]
         entry["median_gain_over_parent_iqr"] = gap > spread
+        entry["claim_met"] = (10 * entry["change_wins"] >= 9 * len(diffs)
+                              and entry["median_gain_over_parent_iqr"])
         if "bound" in declared:
             tolerance = declared["bound"] * abs(entry["parent"]["median"])
             entry["regressed"] = -gap > tolerance
