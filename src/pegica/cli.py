@@ -8,7 +8,8 @@ demix      apply a demixer to samples, optionally scoring against a model
 benchmark  run the seeded sweep and write the per-trial/aggregate CSV
 report     condense a benchmark CSV into a per-(algorithm, N, p) summary
 
-Exit codes: 0 success, 2 usage, 3 file parse error, 4 numerical failure
+Exit codes: 0 success, 2 usage, 3 file error (unreadable, unwritable or
+unparseable), 4 numerical failure
 (a noise covariance that is not PSD, a failed consistency check), 5 partial
 recovery (also for a rank-deficient metric and columns that do not converge).
 
@@ -337,8 +338,8 @@ def main(argv=None):
     except MatrixFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ModelConstructionError, NumericalConsistencyError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -3,20 +3,21 @@
 The recovery algorithm never touches raw data directly; it works through a
 :class:`CumulantOracle` exposing, at a direction ``u``,
 
-* ``f(u) = cum(y, y, y, y)`` with ``y = <X, u>`` (plain fourth cumulant),
-* ``fstar(u) = cum(y, y, conj(y), conj(y))`` (conjugation scheme),
-* ``grad_f(u)`` (gradient of ``f``),
+* ``fstar(u) = cum(y, y, conj(y), conj(y))`` with ``y = <X, u>`` (the
+  conjugation-scheme cumulant, the plain fourth cumulant for real data),
+* ``grad_f(u)`` (gradient of ``fstar`` in the real coordinates of ``u``),
 
-plus the matrix ``C``, a rescaled sum of Hessians at the coordinate
-directions (the real Hessian of ``f`` for real signals, the
-mixed-derivative complex Hessian of ``fstar`` for complex signals).  All of
-these are contractions of one fourth-cumulant tensor, which the oracle
-stores over pair products ``x_i x_j``.  It is built either
-from samples (plug-in moments of one chunked pass, Gaussian part
-subtracted) or from a known mixing matrix and source cumulants.  Because
-the tensor has order four, additive Gaussian noise of any covariance drops
-out of the model-built values and only perturbs the sample-built ones
-through sampling error.
+plus the matrix ``C``, a rescaled sum of the mixed-derivative complex
+Hessians of ``fstar`` at the coordinate directions (the real Hessians for
+real signals).  All of these are contractions of one fourth-cumulant
+tensor, which the oracle stores over pair products ``x_i x_j``.  It is
+built either from samples (plug-in moments of one chunked pass, Gaussian
+part subtracted) or from a known mixing matrix and source cumulants.
+Because the tensor has order four, additive Gaussian noise of any
+covariance drops out of the model-built values and only perturbs the
+sample-built ones through sampling error.  ``fstar`` sees sources that are
+circular to fourth order (``E[s^4] = 0``, such as 8-PSK), which
+``cum(y, y, y, y)`` cannot.
 
 Projections use ``<x, u> = x @ conj(u)``, which is the plain dot product
 for real data.
@@ -184,26 +185,24 @@ def center(raw) -> SampleSet:
 
 
 class CumulantOracle:
-    """Fourth-cumulant functionals as contractions of pair-space tensors.
+    """Fourth-cumulant functionals as contractions of one pair-space tensor.
 
-    The oracle holds ``Q = cum(z, z^T)`` and ``Qc = cum(z, z^H)`` over the
-    ``P = n(n+1)/2`` pair products ``z_(i,j) = x_i x_j`` (``i <= j``), with
-    entries ``cum(x_i, x_j, x_k, x_l)`` and ``cum(x_i, x_j, conj(x_k),
-    conj(x_l))``; for real data the two are one array.  Every functional is
-    a contraction of them: O(P^2) per ``f``, ``fstar``, ``grad_f`` or
-    z-score call, and ``C`` is a partial trace of ``Qc``.
+    The oracle holds ``Q = cum(z, z^H)`` over the ``P = n(n+1)/2`` pair
+    products ``z_(i,j) = x_i x_j`` (``i <= j``), with entries
+    ``cum(x_i, x_j, conj(x_k), conj(x_l))``.  Every functional is a
+    contraction of it: O(P^2) per ``fstar``, ``grad_f`` or z-score call,
+    and ``C`` is a partial trace of ``Q``.
 
     ``CumulantOracle(samples)`` eigendecomposes :attr:`SampleSet.cov` once,
     for its pseudoinverse and for the float32 decision (real,
     well-conditioned data from n=6 on: see ``_FLOAT32_MIN_DIM``), then
-    builds the tensors from the moments of one chunked pass over
+    builds the tensor from the moments of one chunked pass over
     :attr:`SampleSet.data` (at most ``N P(P+1)/2`` multiply-adds, fewer at
     n = 7..11 and from n=24 on: see :func:`_pair_layout`).  ``grad_f`` is
-    then the exact gradient of the sample ``f`` and ``C`` the rescaled sum
-    of its exact Hessians (of ``fstar``'s for complex data).
-    :meth:`from_mixing` and :meth:`from_model` build them exactly from a
-    mixing matrix and the source cumulants; those oracles have no samples,
-    and their z-scores are None.
+    then the exact gradient of the sample ``fstar`` and ``C`` the rescaled
+    sum of its exact Hessians.  :meth:`from_mixing` and :meth:`from_model`
+    build it exactly from a mixing matrix and the source cumulants; those
+    oracles have no samples, and their z-scores are None.
     """
 
     def __init__(self, samples: SampleSet):
@@ -215,28 +214,27 @@ class CumulantOracle:
         self._cov_pinv, _, eigvals = hermitian_pinv(S)
         single = (not self.is_complex and self.dim >= _FLOAT32_MIN_DIM
                   and eigvals[0] >= _FLOAT32_MIN_EIG_RATIO * eigvals[-1])
-        P, G, K = _pair_moments(samples.data.T, np.float32 if single else None)
+        P, K = _pair_moments(samples.data.T, np.float32 if single else None)
         if P is None:
             P = S
         # subtract the Gaussian (Isserlis) part of the fourth moments once
-        self._Q = G - self._isserlis(P, P, P)
-        self._Qc = K - self._isserlis(P, P.conj(), S) if self.is_complex else self._Q
+        self._Q = K - self._isserlis(P, P.conj(), S)
 
     @classmethod
     def from_mixing(cls, A, k4):
         """Exact cumulants of ``X = A S + noise`` for independent sources.
 
-        ``Q = Z diag(k4) Z^T`` and ``Qc = Z diag(k4) Z^H`` with the pair
-        rows ``Z = A[i] * A[j]``.  Gaussian noise of any covariance does
-        not enter.
+        ``Q = Z diag(k4) Z^H`` with the pair rows ``Z = A[i] * A[j]``.
+        Gaussian noise of any covariance does not enter.
 
         Parameters
         ----------
         A : ndarray, shape (n, m)
             Mixing matrix; a complex model carries its phases here.
         k4 : array_like of real, shape (m,)
-            Fourth cumulant of each source, which for a real source is also
-            its conjugation-scheme cumulant.  Complex values raise ValueError.
+            Conjugation-scheme fourth cumulant ``cum(s, s, conj(s), conj(s))``
+            of each source, which for a real source is its plain fourth
+            cumulant.  Complex values raise ValueError.
         """
         A = np.atleast_2d(np.asarray(A))
         k4 = np.asarray(k4)
@@ -249,8 +247,7 @@ class CumulantOracle:
         self.samples = self._cov_pinv = None
         self._index_pairs(A.shape[0], np.iscomplexobj(A))
         Z = A[self._iu] * A[self._ju]
-        self._Q = (Z * k4) @ Z.T
-        self._Qc = (Z * k4) @ Z.conj().T if self.is_complex else self._Q
+        self._Q = (Z * k4) @ Z.conj().T
         return self
 
     @classmethod
@@ -301,25 +298,19 @@ class CumulantOracle:
         return u
 
     # With v = conj(u) the projection is y = <x, u> = x . v, so
-    # y^2 = z . w(v) and every cumulant of y is a contraction of Q or Qc.
+    # y^2 = z . w(v) and every cumulant of y is a contraction of Q.
     def _weights(self, v):
         return self._pair_weight * v[self._iu] * v[self._ju]
-
-    def f(self, u):
-        """``cum(y, y, y, y)`` of ``y = <X, u>``; complex for complex data."""
-        w = self._weights(np.conj(self._check(u)))
-        value = w @ self._Q @ w
-        return complex(value) if self.is_complex else float(value)
 
     def fstar(self, u):
         """Conjugation-scheme cumulant ``cum(y, y, conj(y), conj(y))``.
 
         Real for any distribution; the imaginary residue left by floating
         point is checked against ``1e-10 * (1 + |Re|)`` before being
-        discarded.  Equals :meth:`f` for real data.
+        discarded.  For real data it is the plain ``cum(y, y, y, y)``.
         """
         w = self._weights(np.conj(self._check(u)))
-        value = complex(w @ self._Qc @ np.conj(w))
+        value = complex(w @ self._Q @ np.conj(w))
         if abs(value.imag) > 1e-10 * (1.0 + abs(value.real)):
             raise NumericalConsistencyError(
                 f"fstar produced imaginary residue {value.imag:.3e}"
@@ -327,9 +318,14 @@ class CumulantOracle:
         return value.real
 
     def grad_f(self, u):
+        """Gradient of :meth:`fstar`, named for the benchmark's shims.
+
+        ``d fstar / d Re(u) + i d fstar / d Im(u) = 4 cum(x, y, conj(y),
+        conj(y))``, which is real for real data.
+        """
         v = np.conj(self._check(u))
-        # (Q w)[pair] is the matrix cum(x, x^T, y, y)
-        return 4.0 * ((self._Q @ self._weights(v))[self._pair] @ v)
+        # (Q conj(w))[pair] is the matrix cum(x, x^T, conj(y), conj(y))
+        return 4.0 * ((self._Q @ np.conj(self._weights(v)))[self._pair] @ v)
 
     def kurtosis_z_score(self, u):
         """How many standard errors the projection's kurtosis is from zero.
@@ -365,13 +361,13 @@ class CumulantOracle:
     def build_C_matrix(self):
         """Sum of Hessians at the coordinate directions, already rescaled.
 
-        Equals ``(1/12) sum_k H(e_k)`` with ``H`` the real Hessian of ``f``
-        for real data, and ``(1/4) sum_k H(e_k)`` with ``H`` the
-        mixed-derivative complex Hessian of ``fstar`` for complex data:
-        ``C_ij = sum_k Qc[(k, j), (k, i)]``, a partial trace of the tensor.
+        Equals ``(1/4) sum_k H(e_k)`` with ``H`` the mixed-derivative
+        complex Hessian of ``fstar``, which for real data is ``(1/12)
+        sum_k H(e_k)`` with ``H`` its real Hessian:
+        ``C_ij = sum_k Q[(k, j), (k, i)]``, a partial trace of the tensor.
         """
         pair = self._pair
-        C = self._Qc[pair[:, :, None], pair[:, None, :]].sum(axis=0).T
+        C = self._Q[pair[:, :, None], pair[:, None, :]].sum(axis=0).T
         return 0.5 * (C + C.conj().T)
 
 
@@ -385,7 +381,7 @@ class _PairLayout(NamedTuple):
     products: tuple  # (left rows, right rows, accumulator slice) per GEMM
     size: int  # accumulator length
     order: np.ndarray  # buffer row of each pair, in np.triu_indices order
-    gather: np.ndarray  # (P, P) accumulator index of each entry of G
+    gather: np.ndarray  # (P, P) accumulator index of each entry of E[z z^T]
 
 
 def _group_edges(n):
@@ -456,10 +452,10 @@ def _pair_layout(n):
     against 1.7 ms for an sgemm of the same shape, and the first group's
     one 6 x 36 sgemm 7.9 ms against 16.4 ms for its former three products
     (best of 7, 2 vCPUs).  Quadruples with ``j`` and ``k`` in one group
-    come out more than once; ``gather`` reads every entry of ``G`` from
-    the first product entry holding its sorted quadruple, so equal moments
-    are bitwise equal; a layout whose products miss a moment raises
-    RuntimeError.  With a single group the one product is ``z z^T``, which
+    come out more than once; ``gather`` reads every entry of ``E[z z^T]``
+    (real data's ``K``) from the first product entry holding its sorted
+    quadruple, so equal moments are bitwise equal; a layout whose products
+    miss a moment raises RuntimeError.  With a single group the one product is ``z z^T``, which
     numpy computes as a syrk.
     """
     edges = _group_edges(n)
@@ -510,16 +506,15 @@ def _pair_moments(XT, dtype=None):
     """One chunked pass over the columns of the centered n-by-N samples ``XT``.
 
     The float64 pass forms each chunk's products straight from its
-    n-by-rows slice ``XT[:, s:s + rows]``.  Returns ``P = E[x x^T]``,
-    ``G = E[z z^T]`` and ``K = E[z z^H]`` for the pair products
-    ``z = x[iu] * x[ju]``, ``iu, ju = np.triu_indices(n)``.
-    For real data ``P`` is None, because it is the covariance, which
-    :attr:`SampleSet.cov` computes once per sample set, and ``K`` is ``G``.
-    Each chunk's pair products are formed once, by broadcasting
-    one row index against a run of others, in the block layout of
-    :func:`_pair_layout`.  For real data every product of a chunk is
-    written into one staging buffer laid out like the accumulator, which
-    takes one add per chunk; ``G`` is expanded from it once at the end.
+    n-by-rows slice ``XT[:, s:s + rows]``.  Returns ``P = E[x x^T]`` and
+    ``K = E[z z^H]`` for the pair products ``z = x[iu] * x[ju]``,
+    ``iu, ju = np.triu_indices(n)``.  For real data ``P`` is None, because
+    it is the covariance, which :attr:`SampleSet.cov` computes once per
+    sample set.  Each chunk's pair products are formed once, by
+    broadcasting one row index against a run of others, in the block
+    layout of :func:`_pair_layout`.  For real data every product of a chunk
+    is written into one staging buffer laid out like the accumulator, which
+    takes one add per chunk; ``K`` is expanded from it once at the end.
     ``dtype`` is the working dtype of the chunks, their products and the
     block GEMMs (that of ``XT`` when None); the accumulator and the results
     keep ``XT``'s float64 or complex128.  :class:`CumulantOracle` passes
@@ -528,12 +523,9 @@ def _pair_moments(XT, dtype=None):
     each chunk, of at most 4096 rows from n=7 to 11, is then cast to
     float32, the GEMMs run as sgemm, and the staged products are added in
     float64, which leaves every moment within 1e-6 of the moments of
-    ``|x|`` (5.4e-7 measured).  For complex
-    data ``z = a + ib`` one real syrk of the stacked ``[a; b]`` accumulates
-    ``a a^T``, ``a b^T`` and ``b b^T``, which give both
-    ``G = (a a^T - b b^T) + i (a b^T + b a^T)`` and
-    ``K = (a a^T + b b^T) + i (b a^T - a b^T)``; ``G`` then reads the
-    layout's blocks from that product, so its expansion is the same.
+    ``|x|`` (5.4e-7 measured).  For complex data ``z = a + ib`` one real
+    syrk of the stacked ``[a; b]`` accumulates ``a a^T``, ``a b^T`` and
+    ``b b^T``, which give ``K = (a a^T + b b^T) + i (b a^T - a b^T)``.
     """
     (n, N), cplx = XT.shape, np.iscomplexobj(XT)
     exact = XT.dtype
@@ -543,12 +535,12 @@ def _pair_moments(XT, dtype=None):
     rows = min(N, _chunk_rows(n, work.itemsize))
     xt = np.empty((n, rows), dtype=work) if work != exact else None
     z = np.empty((n_pairs, rows), dtype=work)
-    acc = np.zeros(layout.size, dtype=exact)
     if cplx:
         P = np.zeros((n, n), dtype=exact)
         parts = np.empty((2 * n_pairs, rows))  # [Re z; Im z]
         W = np.zeros((2 * n_pairs, 2 * n_pairs))
     else:
+        acc = np.zeros(layout.size, dtype=exact)
         stage = np.empty(layout.size, dtype=work)
     for s in range(0, N, rows):
         x = XT[:, s:s + rows]
@@ -574,17 +566,13 @@ def _pair_moments(XT, dtype=None):
                 np.matmul(zc[left], zc[right].T,
                           out=stage[part].reshape(left.stop - left.start, -1))
             acc += stage
-    if cplx:
-        aa, ab, bb = W[:n_pairs, :n_pairs], W[:n_pairs, n_pairs:], W[n_pairs:, n_pairs:]
-        zz = (aa - bb) + 1j * (ab + ab.T)
-        for left, right, part in layout.products:
-            acc[part] = zz[left, right].ravel()
-    G = acc[layout.gather]
-    G /= N
     if not cplx:
-        return None, G, G
+        K = acc[layout.gather]
+        K /= N
+        return None, K
+    aa, ab, bb = W[:n_pairs, :n_pairs], W[:n_pairs, n_pairs:], W[n_pairs:, n_pairs:]
     K = (aa + bb) + 1j * (ab.T - ab)
-    return P / N, G, K[np.ix_(layout.order, layout.order)] / N
+    return P / N, K[np.ix_(layout.order, layout.order)] / N
 
 
 @dataclass(frozen=True)

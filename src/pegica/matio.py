@@ -86,8 +86,8 @@ def write_matrix_csv(path, M):
     """Write a 2-D array in the matrix CSV format described above.
 
     A matrix of at least ``_PARALLEL_MIN_CELLS`` cells is formatted by two
-    processes when two CPUs are available; the file's bytes are the same
-    either way.
+    processes when two CPUs are available and ``os`` can fork; the file's
+    bytes are the same either way.
     """
     M = np.atleast_2d(np.asarray(M))
     if M.ndim != 2:
@@ -100,7 +100,7 @@ def write_matrix_csv(path, M):
     rows, cols = M.shape
     with open(path, "w") as fh:
         fh.write(f"{rows},{cols},{field}\n")
-        if M.size >= _PARALLEL_MIN_CELLS and _usable_cpus() > 1:
+        if M.size >= _PARALLEL_MIN_CELLS and hasattr(os, "fork") and _usable_cpus() > 1:
             _write_halves(path, fh, M, fmt)
         else:
             _write_rows(fh, M, fmt)

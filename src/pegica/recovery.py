@@ -1,10 +1,12 @@
 """Mixing-matrix recovery by gradient iteration in a pseudo-Euclidean metric.
 
 The update ``u <- grad_f(C_pinv u) / ||grad_f(C_pinv u)||`` (with a
-conjugated pseudoinverse for complex signals) is a power iteration in the
-hidden source basis: expanding ``u`` over the mixing columns, each
-coordinate is cubed per step, so iterates converge cubically to one
-column direction, up to an irrelevant sign or unit-modulus phase.  No
+conjugated pseudoinverse for complex signals), where ``grad_f`` is the
+gradient of the oracle's ``fstar``, the contrast that also builds ``C``, is
+a power iteration in the hidden source basis: expanding ``u`` over the
+mixing columns, each coordinate ``a`` becomes ``|a|^2 a`` per step, so
+iterates converge cubically to one column direction, up to an irrelevant
+sign or unit-modulus phase.  No
 whitening or orthogonalization preprocessing is needed because the
 columns of the mixing matrix are already orthogonal under the indefinite
 product induced by ``C_pinv``.
@@ -117,8 +119,8 @@ class ConvergenceTrace:
 def pegi_update(u, metric: PseudoMetric, oracle: CumulantOracle):
     """One normalized gradient step in the pseudo-Euclidean metric.
 
-    Returns ``grad_f(conj(C_pinv) u)`` scaled to unit norm; the entrywise
-    conjugate is a no-op for real signals.  Raises
+    Returns ``grad_f(conj(C_pinv) u)``, the gradient of ``fstar``, scaled
+    to unit norm; the entrywise conjugate is a no-op for real signals.  Raises
     :class:`DegenerateDirectionError` when the gradient norm falls below
     1e-12 (e.g. for purely Gaussian data, where the gradient vanishes
     identically); callers should restart from a fresh random direction.

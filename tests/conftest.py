@@ -14,15 +14,17 @@ from pegica import finite_kurtosis_panel, make_model, source_spec
 
 
 def fd_gradient(func, u, h=1e-4):
-    """Central finite differences of a scalar function of a real or
-    complex vector, differentiating with respect to the real coordinates
-    only (matches the gradient convention used for complex signals)."""
+    """Central finite differences of a real scalar function of a real or
+    complex vector: ``d/d Re(u) + i d/d Im(u)`` for complex ``u`` (the
+    gradient in its real coordinates, the convention of ``grad_f``)."""
     u = np.asarray(u)
+    steps = (1.0, 1j) if np.iscomplexobj(u) else (1.0,)
     g = np.zeros(u.shape, dtype=complex)
     for i in range(u.shape[0]):
-        e = np.zeros(u.shape, dtype=u.dtype)
-        e[i] = 1.0
-        g[i] = (func(u + h * e) - func(u - h * e)) / (2.0 * h)
+        for step in steps:
+            e = np.zeros(u.shape, dtype=u.dtype)
+            e[i] = step
+            g[i] += step * (func(u + h * e) - func(u - h * e)) / (2.0 * h)
     return g if np.iscomplexobj(u) else g.real
 
 

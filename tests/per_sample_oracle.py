@@ -1,7 +1,7 @@
 """Reference cumulant oracle: the per-sample plug-in formulas.
 
 Every evaluation makes its own vectorized pass over the samples: O(Nn) for
-``f`` and ``grad_f``, O(Nn^2) for the Hessian.  ``CumulantOracle`` computes
+``fstar`` and ``grad_f``, O(Nn^2) for the Hessian.  ``CumulantOracle`` computes
 the same statistics by contracting a cumulant tensor accumulated in one
 pass; the equivalence tests compare the two.  Nothing here is shared with
 the code it checks.
@@ -37,12 +37,6 @@ class PerSampleOracle:
         # <x_t, u> for every sample row
         return self.samples.data @ np.conj(u)
 
-    def f(self, u):
-        u = self._check(u)
-        y = self._project(u)
-        value = np.mean(y**4) - 3.0 * np.mean(y**2) ** 2
-        return complex(value) if self.is_complex else float(value)
-
     def fstar(self, u):
         u = self._check(u)
         y = self._project(u)
@@ -59,13 +53,17 @@ class PerSampleOracle:
         return value.real
 
     def grad_f(self, u):
+        # d fstar / d Re(u) + i d fstar / d Im(u)
         u = self._check(u)
         X = self.samples.data
         N = self.samples.n_samples
         y = self._project(u)
-        # one fused pass over X for both E[y^3 x] and E[y x]
-        moments = (X.T @ np.column_stack((y**3, y))) / N
-        return 4.0 * moments[:, 0] - 12.0 * np.mean(y**2) * moments[:, 1]
+        yc = np.conj(y)
+        power = (y * yc).real
+        # one fused pass over X for E[|y|^2 conj(y) x], E[conj(y) x] and E[y x]
+        moments = (X.T @ np.column_stack((power * yc, yc, y))) / N
+        return 2.0 * (2.0 * moments[:, 0] - 4.0 * np.mean(power) * moments[:, 1]
+                      - 2.0 * np.conj(np.mean(y**2)) * moments[:, 2])
 
     def _moments(self):
         # cached second-moment matrices: M = E[conj(x) x^T], P = E[x x^T]
@@ -115,8 +113,7 @@ class PerSampleOracle:
         m2 = float(np.mean((y * np.conj(y)).real))
         if m2 == 0.0:
             return 0.0
-        k4 = self.fstar(u) if self.is_complex else self.f(u)
-        gamma = k4 / m2**2
+        gamma = self.fstar(u) / m2**2
         return float(abs(gamma) / np.sqrt(24.0 / self.samples.n_samples))
 
     def source_z_score(self, column):

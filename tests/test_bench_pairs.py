@@ -119,3 +119,10 @@ def test_a_claim_needs_nine_tenths_of_the_pairs(lost, tied, claim_met):
 def test_a_claim_on_a_higher_is_better_metric():
     assert _claim([p + 0.5 for p in _PARENT], better="higher")["claim_met"] is True
     assert _claim([p - 0.5 for p in _PARENT], better="higher")["claim_met"] is False
+
+
+def test_machine_records_whether_bytecode_is_cached(monkeypatch):
+    # without cached bytecode every import of pegica compiles it, which
+    # shows in sweep's setup_s
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert _load_bench_pairs().machine()["PYTHONDONTWRITEBYTECODE"] == "1"

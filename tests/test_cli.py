@@ -135,6 +135,20 @@ class TestEstimate:
         code = run_cli("estimate", bad, "--m", 2, "--out", tmp_path / "o")
         assert code == 3
 
+    def test_unreadable_samples_exit(self, tmp_path, capsys):
+        code = run_cli("estimate", tmp_path, "--m", 2, "--out", tmp_path / "o")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("file error:") and err.count("\n") == 1
+
+    def test_unwritable_output_exit(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = run_cli("simulate", "--n", 2, "--samples", 100, "--out", taken)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("file error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("N", [4, 5000])
     def test_non_finite_samples_are_usage_error(self, tmp_path, rng, capsys, N):
         # without the check, N=4 ends as a partial recovery and N=5000 in the

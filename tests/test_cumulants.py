@@ -199,7 +199,7 @@ class TestLazyCentering:
             for name in ("cov", "data"):
                 assert np.array_equal(getattr(samples, name),
                                       getattr(built["pass"][0], name)), (first, name)
-            for name in ("_Q", "_Qc", "_cov_pinv"):
+            for name in ("_Q", "_cov_pinv"):
                 assert np.array_equal(getattr(oracle, name),
                                       getattr(built["pass"][1], name)), (first, name)
 
@@ -225,29 +225,26 @@ class TestLazyCentering:
         assert np.array_equal(CumulantOracle(samples)._Q, CumulantOracle(SampleSet(raw))._Q)
 
 
-def kappa4(x):
-    # f at the only direction of a one-column sample-built oracle
-    return CumulantOracle(center(x[:, None])).f(1)
-
-
 def kappa4_star(x):
+    # fstar at the only direction of a one-column sample-built oracle, the
+    # plain fourth cumulant for real data
     return CumulantOracle(center(x[:, None])).fstar(1)
 
 
 class TestKappa4:
     def test_gaussian_vanishes(self, rng):
         x = rng.standard_normal(1_000_000)
-        assert abs(kappa4(x - x.mean())) < 0.05
+        assert abs(kappa4_star(x - x.mean())) < 0.05
 
     def test_uniform_closed_form(self, rng):
         # E[X^4] = 9/5 for uniform(-sqrt(3), sqrt(3)), so kappa4 = -1.2
         x = rng.uniform(-np.sqrt(3), np.sqrt(3), 1_000_000)
-        assert abs(kappa4(x - x.mean()) - (-1.2)) < 0.05
+        assert abs(kappa4_star(x - x.mean()) - (-1.2)) < 0.05
 
     def test_homogeneity_exact(self, rng):
         x = rng.standard_normal(1000) ** 3
         x -= x.mean()
-        assert kappa4(2.0 * x) == pytest.approx(16.0 * kappa4(x), rel=1e-12)
+        assert kappa4_star(2.0 * x) == pytest.approx(16.0 * kappa4_star(x), rel=1e-12)
 
     def test_additive_over_independent_streams(self, rng):
         n = 400_000
@@ -255,15 +252,16 @@ class TestKappa4:
         y = rng.uniform(-np.sqrt(3), np.sqrt(3), n)
         x -= x.mean()
         y -= y.mean()
-        lhs = kappa4(x + y)
-        assert abs(lhs - kappa4(x) - kappa4(y)) < 0.1
+        lhs = kappa4_star(x + y)
+        assert abs(lhs - kappa4_star(x) - kappa4_star(y)) < 0.1
 
 
 class TestKappa4Star:
     def test_matches_kappa4_on_real_data(self, rng):
         x = rng.exponential(1.0, 5000) - 1.0
         x -= x.mean()
-        assert kappa4_star(x) == pytest.approx(kappa4(x), abs=1e-12)
+        plain = np.mean(x**4) - 3.0 * np.mean(x**2) ** 2
+        assert kappa4_star(x) == pytest.approx(plain, abs=1e-12)
 
     def test_complex_gaussian_vanishes(self, rng):
         z = (rng.standard_normal(1_000_000) + 1j * rng.standard_normal(1_000_000)) / np.sqrt(2)
@@ -295,13 +293,13 @@ class TestAnalyticOracle:
     def test_f_at_basis_vector_is_source_kurtosis(self):
         # unit-variance Laplace has kappa4 = 3
         oracle = _identity_oracle([3.0, -1.2, 6.0])
-        assert oracle.f(np.array([1.0, 0.0, 0.0])) == pytest.approx(3.0)
+        assert oracle.fstar(np.array([1.0, 0.0, 0.0])) == pytest.approx(3.0)
 
     def test_pure_gaussian_model_is_identically_zero(self, rng):
         oracle = _identity_oracle([0.0, 0.0, 0.0])
         for _ in range(5):
             u = rng.standard_normal(3)
-            assert oracle.f(u) == 0.0
+            assert oracle.fstar(u) == 0.0
             assert np.all(oracle.grad_f(u) == 0.0)
 
     def test_grad_at_basis_vector(self):
@@ -337,7 +335,7 @@ class TestAnalyticOracle:
     def test_dimension_mismatch(self):
         oracle = _identity_oracle([3.0, 3.0])
         with pytest.raises(DimensionMismatchError):
-            oracle.f(np.ones(3))
+            oracle.fstar(np.ones(3))
 
 
 class TestEmpiricalOracle:
@@ -355,7 +353,6 @@ class TestEmpiricalOracle:
         ana = CumulantOracle.from_model(model)
         u = np.array([0.3, -0.5, 0.2, 0.7, -0.1])
         u /= np.linalg.norm(u)
-        assert emp.f(u) == pytest.approx(ana.f(u), abs=0.05)
         assert emp.fstar(u) == pytest.approx(ana.fstar(u), abs=0.05)
         g_emp, g_ana = emp.grad_f(u), ana.grad_f(u)
         assert np.linalg.norm(g_emp - g_ana) <= 0.05 * (1 + np.linalg.norm(g_ana))
@@ -381,7 +378,7 @@ class TestEmpiricalOracle:
             u = rng.standard_normal(4)
             u /= np.linalg.norm(u)
             g = emp.grad_f(u)
-            g_fd = fd_gradient(emp.f, u, h=1e-4)
+            g_fd = fd_gradient(emp.fstar, u, h=1e-4)
             assert np.max(np.abs(g - g_fd)) <= 1e-5 * (1 + np.linalg.norm(g))
 
     def test_gradient_matches_finite_differences_complex(self, rng):
@@ -392,7 +389,7 @@ class TestEmpiricalOracle:
         u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         u /= np.linalg.norm(u)
         g = emp.grad_f(u)
-        g_fd = fd_gradient(emp.f, u, h=1e-4)
+        g_fd = fd_gradient(emp.fstar, u, h=1e-4)
         assert np.max(np.abs(g - g_fd)) <= 1e-5 * (1 + np.linalg.norm(g))
 
     def test_gaussian_noise_invariance_empirical(self):
@@ -501,7 +498,7 @@ def _dense_moments(X):
     N = X.shape[0]
     iu, ju = np.triu_indices(X.shape[1])
     z = X[:, iu] * X[:, ju]
-    return X.T @ X / N, z.T @ z / N, z.T @ z.conj() / N
+    return X.T @ X / N, z.T @ z.conj() / N
 
 
 def _quadruple_codes(n, i, j, k, l):
@@ -541,12 +538,12 @@ class TestPairMoments:
     @pytest.mark.parametrize("n", [1, 2, 5, 7, 8, 9, 10, 11, 24, 37])
     def test_matches_dense_products(self, n, edge, complex_field):
         X = _samples(_edge_samples(n, edge, 16 if complex_field else 8), n, complex_field)
-        P, G, K = _pair_moments(X.T)
+        P, K = _pair_moments(X.T)
         # for real data P is the covariance, which the pass leaves to SampleSet
         assert (P is None) == (not complex_field)
         # relative to the moments of |x|, which bound every sum's terms
         scales = _dense_moments(np.abs(X))
-        for value, reference, scale in zip((P, G, K), _dense_moments(X), scales):
+        for value, reference, scale in zip((P, K), _dense_moments(X), scales):
             if value is None:
                 continue
             assert value.shape == reference.shape
@@ -555,9 +552,14 @@ class TestPairMoments:
     @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [5, 7, 8, 9, 10, 11, 24, 37])
     def test_equal_moments_are_bitwise_equal(self, n, complex_field):
-        G = _pair_moments(_samples(3001, n, complex_field).T)[1].ravel()
+        K = _pair_moments(_samples(3001, n, complex_field).T)[1]
+        if complex_field:
+            # E[x_i x_j conj(x_k x_l)] is the conjugate of E[x_k x_l conj(x_i x_j)]
+            assert np.array_equal(K, K.conj().T)
+            return
+        K = K.ravel()
         _, first, which = np.unique(_sorted_quadruples(n), return_index=True, return_inverse=True)
-        assert np.array_equal(G, G[first[which]])
+        assert np.array_equal(K, K[first[which]])
 
     @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
     def test_rebuild_is_bitwise_identical(self, complex_field):
@@ -581,17 +583,17 @@ class TestPairMomentsFloat32:
     @pytest.mark.parametrize("n", [6, 8, 11, 12, 24, 37])
     def test_matches_dense_products(self, n, edge):
         X = _samples(_edge_samples(n, edge, 4), n, False)
-        P, G, K = _pair_moments(X.T, np.float32)
-        assert P is None and K is G and G.dtype == np.float64
-        _, reference, _ = _dense_moments(X)
+        P, K = _pair_moments(X.T, np.float32)
+        assert P is None and K.dtype == np.float64
+        _, reference = _dense_moments(X)
         scale = _dense_moments(np.abs(X))[1]
-        assert np.max(np.abs(G - reference)) <= 1e-6 * np.max(scale)
+        assert np.max(np.abs(K - reference)) <= 1e-6 * np.max(scale)
 
     @pytest.mark.parametrize("n", [6, 8, 11, 12, 24, 37])
     def test_equal_moments_are_bitwise_equal(self, n):
-        G = _pair_moments(_samples(3001, n, False).T, np.float32)[1].ravel()
+        K = _pair_moments(_samples(3001, n, False).T, np.float32)[1].ravel()
         _, first, which = np.unique(_sorted_quadruples(n), return_index=True, return_inverse=True)
-        assert np.array_equal(G, G[first[which]])
+        assert np.array_equal(K, K[first[which]])
 
     def test_grouped_layouts_cap_float32_chunks(self):
         # n=7 to 11 stop at 4096 rows; one-group layouts and float64 chunks
@@ -641,7 +643,6 @@ class TestPassPrecision:
         oracle = CumulantOracle(samples)
         reference = self._float64_oracle(samples, monkeypatch)
         assert np.array_equal(oracle._Q, reference._Q)
-        assert np.array_equal(oracle._Qc, reference._Qc)
 
     # n=8, the size of the tall, sweep and cli_chain benchmarks
     def test_well_conditioned_n8_takes_float32(self, monkeypatch):
@@ -665,7 +666,6 @@ class TestPassPrecision:
         oracle = CumulantOracle(samples)
         reference = self._float64_oracle(samples, monkeypatch)
         assert np.array_equal(oracle._Q, reference._Q)
-        assert np.array_equal(oracle._Qc, reference._Qc)
 
 
 class TestPairLayout:
@@ -681,7 +681,7 @@ class TestPairLayout:
         for left, right, part in layout.products:
             a, b = held[left][:, None], held[right][None, :]
             acc[part] = _quadruple_codes(n, iu[a], ju[a], iu[b], ju[b]).ravel()
-        # every entry of G reads a product of its own quadruple
+        # every entry of E[z z^T] reads a product of its own quadruple
         assert np.array_equal(acc[layout.gather].ravel(), _sorted_quadruples(n))
         assert np.unique(acc).size == np.unique(layout.gather).size == comb(n + 3, 4)
 

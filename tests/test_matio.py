@@ -287,6 +287,13 @@ class TestForkedWriter:
         assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
         assert (tmp_path / "c.csv").read_text() == reference_matrix_csv(M)
 
+    def test_no_fork_writes_serially(self, tmp_path, rng, monkeypatch):
+        # a platform whose os has no fork (Windows) takes the serial path
+        monkeypatch.delattr(os, "fork")
+        M = wide_exponent_matrix(rng, 9001, 4)
+        write_matrix_csv(tmp_path / "m.csv", M)
+        assert (tmp_path / "m.csv").read_text() == reference_matrix_csv(M)
+
     def test_small_matrix_stays_serial(self, tmp_path, rng, forks):
         cols = 8
         M = rng.standard_normal((matio._PARALLEL_MIN_CELLS // cols - 1, cols))
@@ -322,12 +329,24 @@ class TestForkedWriter:
 
 def test_import_loads_no_multiprocessing():
     # the writer forks with os; importing multiprocessing would cost every
-    # command about 16 ms of start-up
+    # command about 16 ms of start-up.  numpy is the only runtime
+    # dependency: every other top-level module the import adds must be part
+    # of the standard library (CI installs scipy, so a stray import of it
+    # would not fail there)
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    code = "import sys, pegica; sys.exit('multiprocessing' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
-    assert proc.returncode == 0
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import pegica\n"
+        "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(' '.join(sorted(added - set(sys.stdlib_module_names) - {'numpy', 'pegica'})))\n"
+        "sys.exit('multiprocessing' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 class TestTables:

@@ -356,3 +356,17 @@ class TestPegiFull:
         est = pegi_full(metric, oracle, 4, IterationConfig(epsilon=1e-6, rng_seed=9))
         _, _, angles = match_columns(est.A_hat, model.A)
         assert np.max(angles) <= 3.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_circular_sources_recovered(self, seed):
+        # 8-PSK has E[s^4] = 0, so cum(y, y, y, y) vanishes along every
+        # column; only the conjugation-scheme cumulant (kappa4* = -1) sees it
+        rng = np.random.default_rng(seed)
+        n, N = 4, 100_000
+        A = random_mixing(n, n, 3.0, rng) * np.exp(2j * np.pi * rng.random(n))
+        S = np.exp(2j * np.pi * rng.integers(0, 8, (N, n)) / 8)
+        noise = 0.3 * (rng.standard_normal((N, n)) + 1j * rng.standard_normal((N, n)))
+        oracle = CumulantOracle(center(S @ A.T + noise / np.sqrt(2)))
+        est = pegi_full(build_C(oracle), oracle, n, IterationConfig(epsilon=1e-6, rng_seed=seed))
+        _, _, angles = match_columns(est.A_hat, A)
+        assert np.max(angles) <= 2.0

@@ -52,7 +52,7 @@ class TestSourceSpec:
     def test_sample_kurtosis_matches_closed_form(self, label, tol):
         spec = source_spec(label)
         x = spec.sample(1_000_000, stream(101, "sources"))
-        k4 = CumulantOracle(center(x[:, None])).f(1)
+        k4 = CumulantOracle(center(x[:, None])).fstar(1)
         assert k4 == pytest.approx(CLOSED_FORM_K4[label], abs=tol)
 
     def test_closed_form_table(self):
@@ -229,7 +229,7 @@ class TestModelAndBatch:
             estimates = []
             for _ in range(50):
                 x = spec.sample(20_000, rng)
-                estimates.append(CumulantOracle(center(x[:, None])).f(1))
+                estimates.append(CumulantOracle(center(x[:, None])).fstar(1))
             estimates = np.asarray(estimates)
             se_full = estimates.std(ddof=1) / np.sqrt(50)
             full = estimates.mean()

@@ -23,7 +23,8 @@ The result goes to ``BENCH_<tag>.json`` at the repository root: every run's
 metrics, each side's median and quartiles per end-to-end metric of
 ``BENCHMARK.json``, how many pairs the working tree won, lost and tied on
 each, the seeds, ``--seconds`` and the machine (CPU count, Python, numpy,
-BLAS).  Each metric gets a claim verdict, the rule a claimed gain must pass:
+BLAS, and whether bytecode is cached).  Each metric gets a claim verdict,
+the rule a claimed gain must pass:
 
 * ``claim_met``: the working tree won at least nine tenths of the pairs
   (ties count for neither side) and its median beats the parent's by more
@@ -129,6 +130,8 @@ def machine():
         machine=platform.machine(),
         python=platform.python_version(),
         OPENBLAS_NUM_THREADS=os.environ.get("OPENBLAS_NUM_THREADS"),
+        # set, every fresh interpreter compiles pegica from source on import
+        PYTHONDONTWRITEBYTECODE=os.environ.get("PYTHONDONTWRITEBYTECODE"),
         **facts,
     )
 
