@@ -86,6 +86,14 @@ class TestSimulate:
         assert "not PSD" in capsys.readouterr().err
         assert not (tmp_path / "sim" / "X.csv").exists()
 
+    def test_unwritable_output_exit(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = run_cli("simulate", "--n", 2, "--samples", 100, "--out", taken)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("file error:") and err.count("\n") == 1
+
 
 class TestEstimate:
     def test_recovers_truth_on_noise_free_data(self, sim_dir, tmp_path):
@@ -137,14 +145,6 @@ class TestEstimate:
 
     def test_unreadable_samples_exit(self, tmp_path, capsys):
         code = run_cli("estimate", tmp_path, "--m", 2, "--out", tmp_path / "o")
-        assert code == 3
-        err = capsys.readouterr().err
-        assert err.startswith("file error:") and err.count("\n") == 1
-
-    def test_unwritable_output_exit(self, tmp_path, capsys):
-        taken = tmp_path / "taken"
-        taken.write_text("")
-        code = run_cli("simulate", "--n", 2, "--samples", 100, "--out", taken)
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("file error:") and err.count("\n") == 1
