@@ -23,7 +23,7 @@ import numpy as np
 
 from . import demix as dx
 from .cumulants import CumulantOracle, build_C, center
-from .errors import PartialRecoveryError, PegicaError
+from .errors import MatrixFormatError, PartialRecoveryError, PegicaError
 from .linalg import to_db
 from .matio import read_table, write_table
 from .recovery import IterationConfig, pegi_full
@@ -125,61 +125,72 @@ def _trial_seed(master_seed, trial):
     return int(stream(master_seed, "starts", trial, 0).integers(0, 2**63 - 1))
 
 
-def _estimate_and_match(config: RunConfig, model, X_samples, iter_seed):
-    # the cell's one estimate, matched once to the true columns
-    cfg = IterationConfig(
-        epsilon=config.epsilon,
-        max_iters=config.max_iters,
-        max_restarts=config.max_restarts,
-        rng_seed=iter_seed,
-    )
-    oracle = CumulantOracle(X_samples)
-    est = pegi_full(build_C(oracle), oracle, config.m, cfg)
-    perm, _, angles = dx.match_columns(est.A_hat, model.A)
-    return est.A_hat, perm, float(angles.max())
-
-
-def run_trial(model, X_samples, algorithm, matched=None):
-    """Score one algorithm on one drawn data set.
-
-    ``matched`` is the cell's estimate ``(A_hat, permutation, max angle)``,
-    which the ``pegi_*`` algorithms share.  Returns the mean SINR and mean
-    SINR loss in dB and the max column angle in degrees.  Raises the
-    underlying error on failure; the sweep wrapper converts those into
-    status rows.
-    """
-    A_hat, perm, max_angle = matched if algorithm in _ESTIMATED else (None, None, 0.0)
-    B = DEMIXERS[algorithm](model, X_samples, A_hat)
-    sinr, loss_db = dx.sinr_loss(B, model, perm)
-    return float(to_db(sinr).mean()), float(loss_db.mean()), max_angle
-
-
-def _attempt(fn, *args):
+def _status(error):
     # a failure becomes a status instead of aborting the sweep
-    try:
-        return fn(*args), "ok"
-    except PartialRecoveryError:
-        return None, "partial"
-    except PegicaError:
-        return None, "error"
+    return "partial" if isinstance(error, PartialRecoveryError) else "error"
+
+
+def _run_cell(config: RunConfig, model, N, data_seed, iter_seed, **labels):
+    """Draw one cell's data, estimate once and score every algorithm on it.
+
+    Returns one row per algorithm, labelled with ``N`` and ``labels``.  The
+    ``pegi_*`` algorithms share the estimate, matched once to the true
+    columns, and with it its status; each of their rows counts the
+    estimate's time in its runtime.  A :class:`PegicaError` becomes the
+    row's status.  The samples live only in this call, so a sweep holds one
+    cell's data at a time.
+    """
+    def ms_since(start):
+        return (time.perf_counter() - start) * 1e3 if config.timing else 0.0
+
+    samples = center(draw_batch(model, N, seed=data_seed).X)
+    matched, est_status, est_ms = None, "ok", 0.0
+    if not _ESTIMATED.isdisjoint(config.algorithms):
+        start = time.perf_counter()
+        try:
+            oracle = CumulantOracle(samples)
+            est = pegi_full(build_C(oracle), oracle, config.m, IterationConfig(
+                epsilon=config.epsilon, max_iters=config.max_iters,
+                max_restarts=config.max_restarts, rng_seed=iter_seed,
+            ))
+            perm, _, angles = dx.match_columns(est.A_hat, model.A)
+            matched = est.A_hat, perm, float(angles.max())
+        except PegicaError as error:
+            est_status = _status(error)
+        est_ms = ms_since(start)
+    rows = []
+    for algorithm in config.algorithms:
+        start = time.perf_counter()
+        pegi = algorithm in _ESTIMATED
+        values, status = (float("nan"),) * 3, est_status if pegi else "ok"
+        if matched is not None or not pegi:
+            A_hat, perm, max_angle = matched if pegi else (None, None, 0.0)
+            try:
+                B = DEMIXERS[algorithm](model, samples, A_hat)
+                sinr, loss_db = dx.sinr_loss(B, model, perm)
+                values = float(to_db(sinr).mean()), float(loss_db.mean()), max_angle
+            except PegicaError as error:
+                status = _status(error)
+        mean_db, mean_loss, max_angle = values
+        rows.append(BenchmarkRow(
+            algorithm=algorithm, N=N, **labels, mean_sinr_db=mean_db,
+            mean_sinr_loss_db=mean_loss, max_column_angle_deg=max_angle,
+            runtime_ms=ms_since(start) + (est_ms if pegi else 0.0), status=status,
+        ))
+    return rows
 
 
 def run_benchmark(config: RunConfig):
     """Execute the full sweep; returns per-trial rows plus aggregates.
 
+    Each (trial, noise power, sample size) cell is one :func:`_run_cell`
+    call, which frees the cell's data before the next cell draws its own.
     Per-trial failures (e.g. partial recovery on pathological data) are
-    recorded in the row's status column and never abort the sweep.  The
-    ``pegi_*`` algorithms of one cell share one estimate, matched once to
-    the true columns, and with it its status; each of their rows counts
-    the estimate's time in its runtime.
+    recorded in the row's status column and never abort the sweep.
     Rows come back sorted by (algorithm, N, p, trial) with aggregate rows
     after the per-trial rows of their cell.
     """
-    def ms_since(start):
-        return (time.perf_counter() - start) * 1e3 if config.timing else 0.0
-
     rows = []
-    estimates = not _ESTIMATED.isdisjoint(config.algorithms)
     for trial in range(config.trials):
         seed = _trial_seed(config.seed, trial)
         panel = PANELS[config.panel](config.m)
@@ -187,38 +198,9 @@ def run_benchmark(config: RunConfig):
         for ip, p in enumerate(config.noise_powers):
             model = GroundTruthModel(A=A, sources=tuple(panel), Sigma=noise_cov(A, p), noise_power=p)
             for iN, N in enumerate(config.samples):
-                batch = draw_batch(model, N, seed=int(
-                    stream(config.seed, "sources", trial, ip, iN).integers(0, 2**63 - 1)
-                ))
-                X_samples = center(batch.X)
-                matched, est_status, est_ms = None, "ok", 0.0
-                if estimates:
-                    start = time.perf_counter()
-                    matched, est_status = _attempt(
-                        _estimate_and_match, config, model, X_samples,
-                        seed ^ (ip << 8) ^ (iN << 4),
-                    )
-                    est_ms = ms_since(start)
-                for algorithm in config.algorithms:
-                    start = time.perf_counter()
-                    pegi = algorithm in _ESTIMATED
-                    if pegi and matched is None:
-                        values, status = None, est_status
-                    else:
-                        values, status = _attempt(run_trial, model, X_samples, algorithm, matched)
-                    mean_db, mean_loss, max_angle = values or (float("nan"),) * 3
-                    rows.append(BenchmarkRow(
-                        algorithm=algorithm,
-                        N=N,
-                        p=p,
-                        trial=str(trial),
-                        seed=str(seed),
-                        mean_sinr_db=mean_db,
-                        mean_sinr_loss_db=mean_loss,
-                        max_column_angle_deg=max_angle,
-                        runtime_ms=ms_since(start) + (est_ms if pegi else 0.0),
-                        status=status,
-                    ))
+                data_seed = stream(config.seed, "sources", trial, ip, iN).integers(0, 2**63 - 1)
+                rows += _run_cell(config, model, N, int(data_seed), seed ^ (ip << 8) ^ (iN << 4),
+                                  p=p, trial=str(trial), seed=str(seed))
     rows.sort(key=lambda r: (r.algorithm, r.N, r.p, int(r.trial)))
     return rows + aggregate_rows(rows)
 
@@ -261,11 +243,25 @@ def write_benchmark_csv(path, rows):
 
 
 def read_benchmark_csv(path):
+    """Rows of a file written by :func:`write_benchmark_csv`.
+
+    A wrong header or a cell that does not read as its column's type raises
+    MatrixFormatError naming the file, and the row and column counted from 1.
+    """
     header, raw = read_table(path)
     if tuple(header) != BENCHMARK_HEADER:
-        raise ValueError(f"{path}: unexpected benchmark header {header}")
-    return [BenchmarkRow(*(f.type(c) for f, c in zip(fields(BenchmarkRow), cells)))
-            for cells in raw]
+        raise MatrixFormatError(f"{path}: unexpected benchmark header {header}")
+    rows = []
+    for i, cells in enumerate(raw, start=1):
+        values = []
+        for j, (f, cell) in enumerate(zip(fields(BenchmarkRow), cells), start=1):
+            try:
+                values.append(f.type(cell))
+            except ValueError:
+                raise MatrixFormatError(f"{path}: row {i}, column {j} ({f.name}): "
+                                        f"{cell!r} is not {f.type.__name__}") from None
+        rows.append(BenchmarkRow(*values))
+    return rows
 
 
 def summarize(rows):

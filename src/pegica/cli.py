@@ -91,6 +91,9 @@ def _write_model(outdir, model, seed):
 def _read_model(model_dir):
     model_dir = Path(model_dir)
     meta = read_keyvalues(model_dir / "model.txt")
+    for key in ("sources", "noise_power"):
+        if key not in meta:
+            raise MatrixFormatError(f"{model_dir / 'model.txt'}: no {key} line")
     A = parse_matrix_csv(model_dir / "A.csv")
     Sigma = parse_matrix_csv(model_dir / "Sigma.csv")
     if np.iscomplexobj(Sigma) and np.abs(Sigma.imag).max() == 0.0:
@@ -186,6 +189,7 @@ def cmd_demix(args):
             file=sys.stderr,
         )
         return EXIT_PARTIAL
+    model = _read_model(args.model) if args.model else None
     samples = center(X)
     if args.mode == "sinr_opt":
         cov = dx.sample_cov(samples)
@@ -203,8 +207,7 @@ def cmd_demix(args):
     S_hat = demixer.apply(samples.data)
     write_matrix_csv(outdir / "S_hat.csv", S_hat)
     print(f"wrote demixed sources ({args.mode}) to {outdir / 'S_hat.csv'}")
-    if args.model:
-        model = _read_model(args.model)
+    if model is not None:
         perm, phases, angles = dx.match_columns(A_hat, model.A)
         sinr, loss_db = dx.sinr_loss(demixer.B, model, perm)
         sinr_db = to_db(sinr)

@@ -111,13 +111,12 @@ def _chunk_rows(n, itemsize):
 class SampleSet:
     """An N-by-n batch of observed signals with column means removed.
 
-    Building one computes only the column means (bitwise ``mean(axis=0)`` of
-    a C-ordered copy) and keeps the input, uncopied if C-ordered float64 or
-    complex128, until the first use of the centered samples: keep it
-    unchanged until then.  The centered copy :attr:`data` is a new F-ordered
-    array, written whole at its first use; the input is then released, and
-    never mutated.  A ``nan`` or ``inf`` in the input raises ValueError
-    naming the first column (counted from 1) whose mean is not finite.
+    Building one reads the input once and writes the centered copy
+    :attr:`data`, a new F-ordered float64 or complex128 array; the input is
+    neither kept nor mutated, so the caller may reuse it at once.  The
+    column means are bitwise ``mean(axis=0)`` of a C-ordered copy.  A
+    ``nan`` or ``inf`` in the input raises ValueError naming the first
+    column (counted from 1) whose mean is not finite.
     """
 
     def __init__(self, data):
@@ -128,25 +127,20 @@ class SampleSet:
             raise InsufficientDataError(f"need at least 2 samples, got {raw.shape[0]}")
         self.n_samples, self.dim = raw.shape
         self.is_complex = np.iscomplexobj(raw)
-        raw = self._raw = np.ascontiguousarray(raw, complex if self.is_complex else float)
+        raw = np.ascontiguousarray(raw, complex if self.is_complex else float)
         # bitwise numpy's mean: it adds a C-ordered array's rows in order (as
         # einsum does, 2.5 times as fast at 1e6 x 8), but one column pairwise
-        self._mean = raw.mean(axis=0) if self.dim == 1 else np.einsum("ij->j", raw) / len(raw)
+        mean = raw.mean(axis=0) if self.dim == 1 else np.einsum("ij->j", raw) / len(raw)
         # a nan or inf anywhere in a column leaves its mean non-finite
-        bad = np.flatnonzero(~np.isfinite(self._mean))
+        bad = np.flatnonzero(~np.isfinite(mean))
         if bad.size:
             raise ValueError(f"the mean of sample column {bad[0] + 1} of {self.dim} is not "
                              "finite (nan, inf, or values too large to sum)")
-
-    @cached_property
-    def data(self):
-        """The centered samples, N-by-n and F-ordered, written on first use."""
-        XT = np.empty((self.dim, self.n_samples), dtype=self._raw.dtype)
+        XT = np.empty((self.dim, self.n_samples), dtype=raw.dtype)
         for s in range(0, self.n_samples, _CENTER_ROWS):
-            np.subtract(self._raw[s:s + _CENTER_ROWS].T, self._mean[:, None],
+            np.subtract(raw[s:s + _CENTER_ROWS].T, mean[:, None],
                         out=XT[:, s:s + _CENTER_ROWS])
-        self._raw = None
-        return XT.T
+        self.data = XT.T  # the centered samples, N-by-n and F-ordered
 
     @cached_property
     def cov(self):
@@ -172,14 +166,12 @@ def center(raw) -> SampleSet:
     ----------
     raw : array_like, shape (N, n)
         Observed signals, one sample per row.  N must be at least 2, and
-        every value finite.  Read again at the first use of the centered
-        samples: keep it unchanged.
+        every value finite.  Read once, here.
 
     Returns
     -------
     SampleSet
-        Centered copy of the input, written whole at its first use; the
-        same as ``SampleSet(raw)``.
+        Centered copy of the input; the same as ``SampleSet(raw)``.
     """
     return SampleSet(raw)
 
@@ -196,9 +188,11 @@ class CumulantOracle:
     ``CumulantOracle(samples)`` eigendecomposes :attr:`SampleSet.cov` once,
     for its pseudoinverse and for the float32 decision (real,
     well-conditioned data from n=6 on: see ``_FLOAT32_MIN_DIM``), then
-    builds the tensor from the moments of one chunked pass over
-    :attr:`SampleSet.data` (at most ``N P(P+1)/2`` multiply-adds, fewer at
-    n = 7..11 and from n=24 on: see :func:`_pair_layout`).  ``grad_f`` is
+    builds the tensor from the fourth moments of one chunked pass over the
+    centered :attr:`SampleSet.data` (at most ``N P(P+1)/2`` multiply-adds,
+    fewer at n = 7..11 and from n=24 on: see :func:`_pair_layout`), less
+    their Gaussian part, which takes the covariance and, for complex data,
+    ``E[x x^T]``, one product over the same samples.  ``grad_f`` is
     then the exact gradient of the sample ``fstar`` and ``C`` the rescaled
     sum of its exact Hessians.  :meth:`from_mixing` and :meth:`from_model`
     build it exactly from a mixing matrix and the source cumulants; those
@@ -214,9 +208,9 @@ class CumulantOracle:
         self._cov_pinv, _, eigvals = hermitian_pinv(S)
         single = (not self.is_complex and self.dim >= _FLOAT32_MIN_DIM
                   and eigvals[0] >= _FLOAT32_MIN_EIG_RATIO * eigvals[-1])
-        P, K = _pair_moments(samples.data.T, np.float32 if single else None)
-        if P is None:
-            P = S
+        X = samples.data
+        K = _pair_moments(X.T, np.float32 if single else None)
+        P = X.T @ X / X.shape[0] if self.is_complex else S  # E[x x^T]
         # subtract the Gaussian (Isserlis) part of the fourth moments once
         self._Q = K - self._isserlis(P, P.conj(), S)
 
@@ -506,11 +500,10 @@ def _pair_moments(XT, dtype=None):
     """One chunked pass over the columns of the centered n-by-N samples ``XT``.
 
     The float64 pass forms each chunk's products straight from its
-    n-by-rows slice ``XT[:, s:s + rows]``.  Returns ``P = E[x x^T]`` and
-    ``K = E[z z^H]`` for the pair products ``z = x[iu] * x[ju]``,
-    ``iu, ju = np.triu_indices(n)``.  For real data ``P`` is None, because
-    it is the covariance, which :attr:`SampleSet.cov` computes once per
-    sample set.  Each chunk's pair products are formed once, by
+    n-by-rows slice ``XT[:, s:s + rows]``.  Returns ``K = E[z z^H]`` for
+    the pair products ``z = x[iu] * x[ju]``, ``iu, ju = np.triu_indices(n)``;
+    :class:`CumulantOracle` forms the second moments of the Gaussian part
+    apart, one product each.  Each chunk's pair products are formed once, by
     broadcasting one row index against a run of others, in the block
     layout of :func:`_pair_layout`.  For real data every product of a chunk
     is written into one staging buffer laid out like the accumulator, which
@@ -536,7 +529,6 @@ def _pair_moments(XT, dtype=None):
     xt = np.empty((n, rows), dtype=work) if work != exact else None
     z = np.empty((n_pairs, rows), dtype=work)
     if cplx:
-        P = np.zeros((n, n), dtype=exact)
         parts = np.empty((2 * n_pairs, rows))  # [Re z; Im z]
         W = np.zeros((2 * n_pairs, 2 * n_pairs))
     else:
@@ -556,7 +548,6 @@ def _pair_moments(XT, dtype=None):
                 np.multiply(x[i], x[i:j1], out=zc[row:row + j1 - i])
                 row += j1 - i
         if cplx:
-            P += x @ x.T
             w = parts[:, :x.shape[1]]
             np.copyto(w[:n_pairs], zc.real)
             np.copyto(w[n_pairs:], zc.imag)
@@ -569,10 +560,10 @@ def _pair_moments(XT, dtype=None):
     if not cplx:
         K = acc[layout.gather]
         K /= N
-        return None, K
+        return K
     aa, ab, bb = W[:n_pairs, :n_pairs], W[:n_pairs, n_pairs:], W[n_pairs:, n_pairs:]
     K = (aa + bb) + 1j * (ab.T - ab)
-    return P / N, K[np.ix_(layout.order, layout.order)] / N
+    return K[np.ix_(layout.order, layout.order)] / N
 
 
 @dataclass(frozen=True)

@@ -126,3 +126,30 @@ def test_machine_records_whether_bytecode_is_cached(monkeypatch):
     # shows in sweep's setup_s
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     assert _load_bench_pairs().machine()["PYTHONDONTWRITEBYTECODE"] == "1"
+
+
+def test_the_report_records_src_lines_of_both_trees(tmp_path, monkeypatch):
+    # main() on a stand-in repository: the parent holds 2 lines of
+    # src/pegica/*.py, the working tree 4 (files of other kinds do not count)
+    bench_pairs = _load_bench_pairs()
+    (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    package = tmp_path / "src" / "pegica"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n")
+    (package / "b.py").write_text("\n\n\n")
+    (package / "notes.txt").write_text("not counted\n")
+
+    def extract(rev, into):
+        parent = Path(into) / "src" / "pegica"
+        parent.mkdir(parents=True)
+        (parent / "a.py").write_text("x = 1\ny = 2\n")
+
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "")
+    monkeypatch.setattr(bench_pairs, "extract", extract)
+    monkeypatch.setattr(bench_pairs, "machine", dict)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args, **kwargs: dict.fromkeys(names, 1.0))
+    bench_pairs.main(["--tag", "t", "--seconds", "0", "--workload", "sweep:0"])
+    report = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert report["src_lines"] == {"parent": 2, "change": 4}

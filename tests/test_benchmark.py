@@ -1,5 +1,8 @@
 """Sweep harness: row contracts, determinism, aggregation, round trips."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -121,6 +124,21 @@ class TestRunBenchmark:
         rows = run_benchmark(_tiny_config())
         seeds = {r.seed for r in rows if r.trial != "mean"}
         assert len(seeds) == 1
+
+    def test_each_cell_frees_its_data_before_the_next_draw(self, monkeypatch):
+        # at each draw, how many earlier cells' samples are still alive
+        earlier, alive, draw = [], [], benchmark.draw_batch
+
+        def tracked(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in earlier))
+            batch = draw(*args, **kwargs)
+            earlier.append(weakref.ref(batch.X))
+            return batch
+
+        monkeypatch.setattr(benchmark, "draw_batch", tracked)
+        run_benchmark(_tiny_config(trials=2, samples=(3000, 4000)))
+        assert alive == [0, 0, 0, 0]
 
     def test_csv_round_trip(self, tmp_path):
         rows = run_benchmark(_tiny_config())

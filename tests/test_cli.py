@@ -3,6 +3,7 @@
 import argparse
 import os
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -27,7 +28,13 @@ from pegica import (
 )
 from pegica.benchmark import RunConfig
 from pegica.cli import build_parser, main
-from pegica.matio import parse_matrix_csv, read_keyvalues, read_table, write_matrix_csv
+from pegica.matio import (
+    parse_matrix_csv,
+    read_keyvalues,
+    read_table,
+    write_keyvalues,
+    write_matrix_csv,
+)
 from test_matio import reference_matrix_csv
 
 
@@ -268,6 +275,34 @@ class TestDemix:
         assert "columns 0, 1, 2 are all zero" in capsys.readouterr().err
         assert not (dem / "S_hat.csv").exists()
 
+    @staticmethod
+    def _damaged_model(sim_dir, tmp_path):
+        model = tmp_path / "model"
+        model.mkdir()
+        for name in ("model.txt", "A.csv", "Sigma.csv"):
+            shutil.copy(sim_dir / name, model / name)
+        return model
+
+    @pytest.mark.parametrize("key", ["sources", "noise_power"])
+    def test_model_without_a_line_is_parse_error(self, sim_dir, tmp_path, capsys, key):
+        model = self._damaged_model(sim_dir, tmp_path)
+        meta = read_keyvalues(model / "model.txt")
+        del meta[key]
+        write_keyvalues(model / "model.txt", meta)
+        code = run_cli("demix", sim_dir / "X.csv", sim_dir / "A.csv", "--model", model,
+                       "--out", tmp_path / "d")
+        assert code == 3
+        assert f"{model / 'model.txt'}: no {key} line" in capsys.readouterr().err
+        assert not (tmp_path / "d" / "S_hat.csv").exists()
+
+    def test_model_without_sigma_writes_nothing(self, sim_dir, tmp_path):
+        model = self._damaged_model(sim_dir, tmp_path)
+        (model / "Sigma.csv").unlink()
+        code = run_cli("demix", sim_dir / "X.csv", sim_dir / "A.csv", "--model", model,
+                       "--out", tmp_path / "d")
+        assert code == 3
+        assert not (tmp_path / "d" / "S_hat.csv").exists()
+
     def test_pipeline_coherence_with_library(self, sim_dir, tmp_path):
         # CLI estimate+demix equals the in-process composition bit-for-bit
         # modulo CSV round-tripping (which is lossless)
@@ -351,6 +386,23 @@ class TestBenchmarkCommand:
         assert len(rows) == 1
         assert int(rows[0][3]) == 2  # both trials ok
         assert header[-1] == "trials" and int(rows[0][-1]) == 2
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda text: text.replace("mean_sinr_db", "sinr_db", 1), "unexpected benchmark header"),
+        (lambda text: text.replace(",2000,", ",20x0,", 1), "row 1, column 2 (N): '20x0'"),
+    ], ids=["header", "cell"])
+    def test_report_on_a_malformed_file_is_parse_error(self, tmp_path, capsys, damage, message):
+        out = tmp_path / "ben"
+        run_cli("benchmark", "--n", 4, "--m", 4, "--samples", "2000",
+                "--noise-power", "0.1", "--trials", 1, "--seed", 5,
+                "--algo", "oracle_ainv", "--panel", "finite_k4",
+                "--no-timing", "--out", out)
+        path = out / "benchmark.csv"
+        path.write_text(damage(path.read_text()))
+        capsys.readouterr()
+        assert run_cli("report", path, "--out", tmp_path / "rep") == 3
+        assert f"{path}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "rep" / "report.csv").exists()
 
     def test_report_columns_line_up(self, tmp_path, capsys):
         out = tmp_path / "ben"

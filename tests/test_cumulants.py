@@ -142,10 +142,10 @@ _LAYOUTS = _layouts(np.random.default_rng(7))
 
 
 class TestLazyCentering:
-    """A SampleSet computes its column means when built and its whole
-    centered copy at first use, by whichever reader comes first: ``data``,
+    """A SampleSet writes its whole centered copy when built; only its
+    covariance waits for its first reader, whichever comes first: ``data``,
     ``cov``, or the oracle (``"pass"``), which reads ``cov`` and then runs
-    the moment pass over the finished copy.
+    the moment pass over the copy.
 
     The N leave a partial last chunk of the centering (4096 rows) and of the
     moment pass (7281 float64 rows at n=8, 1747 float32 rows at n=24, 3640
@@ -162,19 +162,20 @@ class TestLazyCentering:
         if raw.flags.c_contiguous:
             assert np.array_equal(reference, raw.mean(axis=0, dtype=dtype)), name
         samples = SampleSet(raw)
-        assert samples._mean.dtype == dtype
-        assert np.array_equal(samples._mean, reference), name
         centered = np.ascontiguousarray(raw, dtype=dtype) - reference
+        assert samples.data.dtype == dtype
         assert np.array_equal(samples.data, centered), name
         assert samples.data.flags.f_contiguous
 
-    def test_input_is_read_but_not_copied_until_first_use(self, rng):
+    def test_input_may_change_once_the_samples_are_built(self, rng):
         raw = rng.standard_normal((3000, 4)) + 5.0
+        reference = SampleSet(raw.copy())
         samples = SampleSet(raw)
-        assert np.shares_memory(samples._raw, raw)
-        data = samples.data
-        assert samples._raw is None and samples.data is data
-        assert not np.shares_memory(data, raw)
+        # a caller that reuses its buffer leaves the samples as they were
+        raw[:] = 7.0
+        assert not np.shares_memory(samples.data, raw)
+        assert np.array_equal(samples.data, reference.data)
+        assert np.array_equal(samples.cov, reference.cov)
 
     @staticmethod
     def _build(raw, first):
@@ -538,21 +539,16 @@ class TestPairMoments:
     @pytest.mark.parametrize("n", [1, 2, 5, 7, 8, 9, 10, 11, 24, 37])
     def test_matches_dense_products(self, n, edge, complex_field):
         X = _samples(_edge_samples(n, edge, 16 if complex_field else 8), n, complex_field)
-        P, K = _pair_moments(X.T)
-        # for real data P is the covariance, which the pass leaves to SampleSet
-        assert (P is None) == (not complex_field)
+        K = _pair_moments(X.T)
+        reference = _dense_moments(X)[1]
+        assert K.shape == reference.shape
         # relative to the moments of |x|, which bound every sum's terms
-        scales = _dense_moments(np.abs(X))
-        for value, reference, scale in zip((P, K), _dense_moments(X), scales):
-            if value is None:
-                continue
-            assert value.shape == reference.shape
-            assert np.max(np.abs(value - reference)) <= 1e-13 * np.max(scale)
+        assert np.max(np.abs(K - reference)) <= 1e-13 * np.max(_dense_moments(np.abs(X))[1])
 
     @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [5, 7, 8, 9, 10, 11, 24, 37])
     def test_equal_moments_are_bitwise_equal(self, n, complex_field):
-        K = _pair_moments(_samples(3001, n, complex_field).T)[1]
+        K = _pair_moments(_samples(3001, n, complex_field).T)
         if complex_field:
             # E[x_i x_j conj(x_k x_l)] is the conjugate of E[x_k x_l conj(x_i x_j)]
             assert np.array_equal(K, K.conj().T)
@@ -564,8 +560,7 @@ class TestPairMoments:
     @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
     def test_rebuild_is_bitwise_identical(self, complex_field):
         X = _samples(5000, 24, complex_field)
-        for first, second in zip(_pair_moments(X.T), _pair_moments(X.copy().T)):
-            assert (first is None and second is None) or np.array_equal(first, second)
+        assert np.array_equal(_pair_moments(X.T), _pair_moments(X.copy().T))
 
 
 class TestPairMomentsFloat32:
@@ -583,15 +578,15 @@ class TestPairMomentsFloat32:
     @pytest.mark.parametrize("n", [6, 8, 11, 12, 24, 37])
     def test_matches_dense_products(self, n, edge):
         X = _samples(_edge_samples(n, edge, 4), n, False)
-        P, K = _pair_moments(X.T, np.float32)
-        assert P is None and K.dtype == np.float64
+        K = _pair_moments(X.T, np.float32)
+        assert K.dtype == np.float64
         _, reference = _dense_moments(X)
         scale = _dense_moments(np.abs(X))[1]
         assert np.max(np.abs(K - reference)) <= 1e-6 * np.max(scale)
 
     @pytest.mark.parametrize("n", [6, 8, 11, 12, 24, 37])
     def test_equal_moments_are_bitwise_equal(self, n):
-        K = _pair_moments(_samples(3001, n, False).T, np.float32)[1].ravel()
+        K = _pair_moments(_samples(3001, n, False).T, np.float32).ravel()
         _, first, which = np.unique(_sorted_quadruples(n), return_index=True, return_inverse=True)
         assert np.array_equal(K, K[first[which]])
 
@@ -604,8 +599,8 @@ class TestPairMomentsFloat32:
 
     def test_rebuild_is_bitwise_identical(self):
         X = _samples(5000, 24, False)
-        assert np.array_equal(_pair_moments(X.T, np.float32)[1],
-                              _pair_moments(X.copy().T, np.float32)[1])
+        assert np.array_equal(_pair_moments(X.T, np.float32),
+                              _pair_moments(X.copy().T, np.float32))
 
 
 class TestPassPrecision:
@@ -740,3 +735,20 @@ class TestCovariance:
             cov[0, 0] = 1.0
         # a new sample set computes its own
         assert sample_cov(SampleSet(X)) is not cov and len(calls) == 2
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 37])
+    def test_complex_second_moment_matches_dense_product(self, n, monkeypatch):
+        # the Gaussian part of complex data takes E[x x^T] as its first factor
+        seen, isserlis = [], CumulantOracle._isserlis
+
+        def spy(self, A, B, S):
+            seen.append(A)
+            return isserlis(self, A, B, S)
+
+        monkeypatch.setattr(CumulantOracle, "_isserlis", spy)
+        samples = SampleSet(_samples(3001, n, True) + (1.0 - 2.0j))
+        CumulantOracle(samples)
+        X = samples.data
+        reference, scale = _dense_moments(X)[0], _dense_moments(np.abs(X))[0]
+        assert len(seen) == 1 and seen[0].shape == (n, n)
+        assert np.max(np.abs(seen[0] - reference)) <= 1e-13 * np.max(scale)

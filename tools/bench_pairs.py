@@ -22,9 +22,10 @@ end-to-end summary.
 The result goes to ``BENCH_<tag>.json`` at the repository root: every run's
 metrics, each side's median and quartiles per end-to-end metric of
 ``BENCHMARK.json``, how many pairs the working tree won, lost and tied on
-each, the seeds, ``--seconds`` and the machine (CPU count, Python, numpy,
-BLAS, and whether bytecode is cached).  Each metric gets a claim verdict,
-the rule a claimed gain must pass:
+each, the seeds, ``--seconds``, the machine (CPU count, Python, numpy,
+BLAS, and whether bytecode is cached) and ``src_lines``, the line count of
+``src/pegica/*.py`` in the parent and in the working tree.  Each metric
+gets a claim verdict, the rule a claimed gain must pass:
 
 * ``claim_met``: the working tree won at least nine tenths of the pairs
   (ties count for neither side) and its median beats the parent's by more
@@ -66,6 +67,11 @@ def extract(rev, into):
                              capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(into, filter="data")
+
+
+def src_lines(tree):
+    """Lines of ``src/pegica/*.py`` in ``tree``, counted as ``wc -l`` does."""
+    return sum(path.read_bytes().count(b"\n") for path in Path(tree).glob("src/pegica/*.py"))
 
 
 def run_once(tree, workload, seed, seconds, trace=0):
@@ -171,6 +177,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_tree:
         extract(parent, parent_tree)
         trees = {"parent": parent_tree, "change": ROOT}
+        report["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
         for workload, seeds in args.workload:
             runs = []
             for pair, seed in enumerate(seeds):
