@@ -90,22 +90,36 @@ def _write_model(outdir, model, seed):
 
 def _read_model(model_dir):
     model_dir = Path(model_dir)
-    meta = read_keyvalues(model_dir / "model.txt")
+    path = model_dir / "model.txt"
+    meta = read_keyvalues(path)
     for key in ("sources", "noise_power"):
         if key not in meta:
-            raise MatrixFormatError(f"{model_dir / 'model.txt'}: no {key} line")
+            raise MatrixFormatError(f"{path}: no {key} line")
+
+    def parsed(key, parse):
+        try:
+            return parse(meta[key])
+        except ValueError as exc:
+            raise MatrixFormatError(f"{path}: line {key}={meta[key]}: {exc}") from None
+
+    noise_power = parsed("noise_power", float)
+    sources = parsed("sources", lambda text: tuple(source_spec(t) for t in text.split(",")))
     A = parse_matrix_csv(model_dir / "A.csv")
+    if len(sources) != A.shape[1]:
+        raise MatrixFormatError(
+            f"{path}: line sources={meta['sources']}: names {len(sources)} sources, "
+            f"but {model_dir / 'A.csv'} has {A.shape[1]} columns"
+        )
     Sigma = parse_matrix_csv(model_dir / "Sigma.csv")
     if np.iscomplexobj(Sigma) and np.abs(Sigma.imag).max() == 0.0:
         Sigma = Sigma.real
-    sources = tuple(source_spec(t) for t in meta["sources"].split(","))
-    return GroundTruthModel(
-        A=A, sources=sources, Sigma=Sigma,
-        noise_power=float(meta["noise_power"]),
-    )
+    return GroundTruthModel(A=A, sources=sources, Sigma=Sigma, noise_power=noise_power)
 
 
 def cmd_simulate(args):
+    if not 0 <= args.noise_power < float("inf"):
+        print("error: --noise-power must be a nonnegative finite number", file=sys.stderr)
+        return EXIT_USAGE
     outdir = _out_dir(args.out)
     sources = None
     if args.sources:

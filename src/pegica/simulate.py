@@ -13,7 +13,10 @@ keys, one per (purpose, index), so trials can run in any order or in
 parallel without changing the draws.  :func:`draw_batch` uses that: the
 noise stream fills its buffer on a second thread while the sources are
 drawn, and since each stream writes only its own buffer, in its own fixed
-order, the batch is the same bit for bit as a serial draw.
+order, the batch is the same bit for bit as a serial draw.  After the
+thread is joined, the sources and the noise are mixed one block of rows at
+a time, back into the noise buffer; each block's products have the bits of
+the whole-array products, so this too leaves the batch unchanged.
 """
 
 import math
@@ -323,6 +326,27 @@ def _fill_normal(rng, buffers, errors):
         errors.append(exc)
 
 
+# Rows per block when draw_batch mixes the sources and the noise.  A block
+# this small runs its products on the calling thread, so no OpenBLAS worker
+# is left spinning on the second core that the next draw's noise thread
+# needs.  In-process `sweep` rounds (n=8, 2 vCPUs, median of 3-7):
+#
+#   rows per block      whole array   1024   2048   4096   8192   16384   65536
+#   round (s)           0.533-0.542   0.404  0.370  0.390  0.510  0.540   0.555
+#
+# (0.421 s for whole arrays with OPENBLAS_NUM_THREADS=1.)  Every block has
+# at least this many rows, the remainder joining the last: a one-row block
+# goes to gemv, and a two-row one at n=40 gave other bits than the whole
+# product.  So laid out, each block's products have the bits of the
+# whole-array products (tests/test_draw_batch.py checks the block edges).
+_MIX_ROWS = 4096
+
+
+def _row_blocks(N):
+    edges = [k * _MIX_ROWS for k in range(max(N // _MIX_ROWS, 1))] + [N]
+    return [slice(start, stop) for start, stop in zip(edges, edges[1:])]
+
+
 def draw_batch(model: GroundTruthModel, N, seed) -> DrawBatch:
     """Draw N samples from the model, keeping the latent sources.
 
@@ -330,7 +354,11 @@ def draw_batch(model: GroundTruthModel, N, seed) -> DrawBatch:
     come from separate derived streams, so identical seeds give
     bit-identical arrays.  A noisy model fills its noise on a second
     thread (numpy's generators release the GIL while filling) into
-    buffers allocated here, while this thread draws and mixes the sources.
+    buffers allocated here, while this thread draws the sources.  After
+    the join, each block of ``_MIX_ROWS`` rows is mixed as
+    ``noise = g L^T``, ``noise += S A^T`` and written back into the noise
+    buffer, which becomes X (a complex batch gets one new complex X), so
+    the draw holds two N-by-n arrays rather than four.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -346,21 +374,23 @@ def draw_batch(model: GroundTruthModel, N, seed) -> DrawBatch:
         rng_s = stream(seed, "sources")
         for row, spec in zip(rows, model.sources):
             row[:] = spec.sample(N, rng_s)
-        S = rows.T
-        X = S @ model.A.T
     finally:
         if noisy:
             filler.join()
-    if noisy:
-        if errors:
-            raise errors[0]
-        L = _noise_factor(model.Sigma)
+    S = rows.T
+    if not noisy:
+        return DrawBatch(X=S @ model.A.T, S=S)
+    if errors:
+        raise errors[0]
+    L = _noise_factor(model.Sigma)
+    dtype = np.result_type(model.A, L)
+    # a real mixing matrix with a complex noise covariance gives a complex X
+    X = g[0] if dtype == g[0].dtype else np.empty((N, model.n), dtype)
+    for b in _row_blocks(N):
         if model.is_complex:
-            noise = ((g[0] + 1j * g[1]) / math.sqrt(2.0)) @ L.T
+            noise = ((g[0][b] + 1j * g[1][b]) / math.sqrt(2.0)) @ L.T
         else:
-            noise = g[0] @ L.T
-        if noise.dtype == X.dtype:
-            X += noise
-        else:  # a real mixing matrix with a complex noise covariance
-            X = X + noise
+            noise = g[0][b] @ L.T
+        noise += S[b] @ model.A.T
+        X[b] = noise
     return DrawBatch(X=X, S=S)

@@ -19,7 +19,8 @@ def _load_bench_pairs():
     return module
 
 
-summarize = _load_bench_pairs().summarize
+_bench_pairs = _load_bench_pairs()
+summarize, failures = _bench_pairs.summarize, _bench_pairs.failures
 
 
 def _runs(parent, change, name="op_s"):
@@ -121,6 +122,31 @@ def test_a_claim_on_a_higher_is_better_metric():
     assert _claim([p - 0.5 for p in _PARENT], better="higher")["claim_met"] is False
 
 
+def _outcomes(parent, change):
+    # each side's runs as (attempted, failed, correct)
+    return [{side: dict(zip(("attempted", "failed", "correct"), run))
+             for side, run in zip(("parent", "change"), pair)}
+            for pair in zip(parent, change)]
+
+
+def test_failures_totals_each_side_and_flags_a_larger_failed_share():
+    entry = failures(_outcomes([(80, 0, True)] * 3,
+                               [(80, 0, True), (80, 2, True), (80, 0, False)]))
+    assert entry["parent"] == {"attempted": 240, "failed": 0, "failed_share": 0.0,
+                               "all_correct": True}
+    assert entry["change"] == {"attempted": 240, "failed": 2, "failed_share": 2 / 240,
+                               "all_correct": False}
+    assert entry["more_failed"] is True
+
+
+def test_more_failed_compares_shares_not_counts():
+    # the change fails more operations, but of more attempted
+    entry = failures(_outcomes([(100, 10, True)] * 2, [(200, 12, True)] * 2))
+    assert entry["change"]["failed"] > entry["parent"]["failed"]
+    assert entry["more_failed"] is False
+    assert failures(_outcomes([(50, 5, True)], [(50, 5, True)]))["more_failed"] is False
+
+
 def test_machine_records_whether_bytecode_is_cached(monkeypatch):
     # without cached bytecode every import of pegica compiles it, which
     # shows in sweep's setup_s
@@ -149,7 +175,9 @@ def test_the_report_records_src_lines_of_both_trees(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_pairs, "git", lambda *args: "")
     monkeypatch.setattr(bench_pairs, "extract", extract)
     monkeypatch.setattr(bench_pairs, "machine", dict)
-    monkeypatch.setattr(bench_pairs, "run_once", lambda *args, **kwargs: dict.fromkeys(names, 1.0))
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args, **kwargs: dict(
+        dict.fromkeys(names, 1.0), correct=True, attempted=4, failed=1))
     bench_pairs.main(["--tag", "t", "--seconds", "0", "--workload", "sweep:0"])
     report = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert report["src_lines"] == {"parent": 2, "change": 4}
+    assert report["workloads"]["sweep"]["failures"]["change"]["failed_share"] == 0.25

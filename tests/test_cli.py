@@ -93,6 +93,14 @@ class TestSimulate:
         assert "not PSD" in capsys.readouterr().err
         assert not (tmp_path / "sim" / "X.csv").exists()
 
+    @pytest.mark.parametrize("power", ["-0.1", "nan", "inf"])
+    def test_noise_power_out_of_range_is_usage_error(self, tmp_path, capsys, power):
+        code = run_cli("simulate", "--n", 4, "--noise-power", power, "--samples", 100,
+                       "--out", tmp_path / "sim")
+        assert code == 2
+        assert "--noise-power must be a nonnegative finite number" in capsys.readouterr().err
+        assert not (tmp_path / "sim" / "X.csv").exists()
+
     def test_unwritable_output_exit(self, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("")
@@ -293,6 +301,25 @@ class TestDemix:
                        "--out", tmp_path / "d")
         assert code == 3
         assert f"{model / 'model.txt'}: no {key} line" in capsys.readouterr().err
+        assert not (tmp_path / "d" / "S_hat.csv").exists()
+
+    @pytest.mark.parametrize("key, value, reason", [
+        ("noise_power", "abc", "could not convert string to float"),
+        ("sources", "cauchy,uniform,exponential,bernoulli(0.5)", "unknown source family"),
+        ("sources", "laplace,uniform,exponential", "names 3 sources, but"),
+    ], ids=["noise_power_not_a_number", "unknown_source_family", "too_few_sources"])
+    def test_model_with_a_bad_value_is_parse_error(self, sim_dir, tmp_path, capsys,
+                                                   key, value, reason):
+        model = self._damaged_model(sim_dir, tmp_path)
+        meta = read_keyvalues(model / "model.txt")
+        meta[key] = value
+        write_keyvalues(model / "model.txt", meta)
+        code = run_cli("demix", sim_dir / "X.csv", sim_dir / "A.csv", "--model", model,
+                       "--out", tmp_path / "d")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{model / 'model.txt'}: line {key}={value}: " in err
+        assert reason in err
         assert not (tmp_path / "d" / "S_hat.csv").exists()
 
     def test_model_without_sigma_writes_nothing(self, sim_dir, tmp_path):

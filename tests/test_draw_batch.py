@@ -1,13 +1,15 @@
 """``draw_batch`` against a serial reference draw, and its noise thread.
 
 ``draw_batch`` fills the noise stream on a second thread while the sources
-are drawn.  The reference below is the plain serial draw it replaced:
-stack the sources, mix them, then draw the noise and add it.  Both must
-give the same bytes.
+are drawn, then mixes both in blocks of rows inside the noise buffer.  The
+reference below is the plain serial draw it replaced: stack the sources,
+mix them as whole arrays, then draw the noise and add it.  Both must give
+the same bytes.
 """
 
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +50,14 @@ MODELS = {
 }
 
 
+def _complex_noise_model():
+    # a hand-built model may pair a real A with a complex Sigma; the batch
+    # then turns complex, as the noise does
+    A = make_model(n=3, seed=8).A
+    Sigma = np.array([[1.0, 0.5j, 0.0], [-0.5j, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    return GroundTruthModel(A=A, sources=make_model(n=3).sources, Sigma=Sigma, noise_power=0.1)
+
+
 class TestMatchesSerialDraw:
     @pytest.mark.parametrize("N", [1, 7, 10_000])
     def test_real_model(self, N):
@@ -66,17 +76,65 @@ class TestMatchesSerialDraw:
         assert_same_bytes(batch.S, S)
 
     def test_real_mixing_with_complex_noise(self):
-        # a hand-built model may pair a real A with a complex Sigma; the
-        # batch then turns complex, as the noise does
-        A = make_model(n=3, seed=8).A
-        Sigma = np.array([[1.0, 0.5j, 0.0], [-0.5j, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        model = GroundTruthModel(A=A, sources=make_model(n=3).sources, Sigma=Sigma,
-                                 noise_power=0.1)
+        model = _complex_noise_model()
         batch = draw_batch(model, 500, seed=13)
         X, S = serial_draw(model, 500, seed=13)
         assert np.iscomplexobj(batch.X)
         assert_same_bytes(batch.X, X)
         assert_same_bytes(batch.S, S)
+
+
+EDGE_MODELS = {
+    **{f"real_n{n}": dict(n=n, seed=n, noise_power=0.1) for n in (3, 8, 24, 40)},
+    **{f"complex_n{n}": dict(n=n, seed=n, noise_power=0.1, complex_phases=True)
+       for n in (8, 40)},
+    "real_A_complex_Sigma": None,
+}
+
+
+class TestRowBlocks:
+    """X is mixed in blocks of ``_MIX_ROWS`` rows, the remainder joining the
+    last block; these sizes put the block edges one or two rows either side
+    of a multiple of the block."""
+
+    @pytest.mark.parametrize("N", [4095, 4096, 4097, 4098, 8191, 8193, 12290])
+    @pytest.mark.parametrize("case", sorted(EDGE_MODELS))
+    def test_block_edges_match_serial_draw(self, case, N):
+        kwargs = EDGE_MODELS[case]
+        model = _complex_noise_model() if kwargs is None else make_model(**kwargs)
+        batch = draw_batch(model, N, seed=N)
+        X, S = serial_draw(model, N, seed=N)
+        assert_same_bytes(batch.X, X)
+        assert_same_bytes(batch.S, S)
+
+    def test_every_block_has_at_least_mix_rows(self):
+        for N in (1, 4095, 4096, 8191, 8192, 12290, 100_000):
+            blocks = simulate._row_blocks(N)
+            assert blocks[0].start == 0 and blocks[-1].stop == N
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            sizes = [b.stop - b.start for b in blocks]
+            assert min(sizes) >= min(N, simulate._MIX_ROWS)
+
+    def test_noisy_draw_holds_under_two_and_a_half_arrays(self):
+        # the blocks are mixed back into the noise buffer, so the draw holds
+        # the sources and one N-by-n buffer; whole-array mixing held four
+        model = make_model(n=8, seed=3, noise_power=0.1)
+        N = 100_000
+        tracemalloc.start()
+        try:
+            batch = draw_batch(model, N, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch.X.shape == (N, 8)
+        assert peak < 2.5 * N * model.n * 8
+
+    @pytest.mark.parametrize("case", ["real", "complex", "noise_free", "m_below_n"])
+    def test_layout(self, case):
+        batch = draw_batch(make_model(**MODELS[case]), 10_000, seed=14)
+        assert batch.X.flags.c_contiguous
+        assert batch.S.flags.f_contiguous
+        assert not np.shares_memory(batch.X, batch.S)
 
 
 class _BrokenNoise:

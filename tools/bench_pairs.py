@@ -39,6 +39,12 @@ Each metric that declares a ``bound`` also gets a no-regression verdict:
   its median, so its runs spread too widely to tell, unless every run of the
   working tree beats every run of the parent.
 
+Each workload also gets ``failures``: for each side, the totals of
+``attempted`` and ``failed`` operations over its runs, ``failed_share``
+(failed over attempted) and ``all_correct`` (every run passed its output
+checks), and the verdict ``more_failed``, true when the working tree's failed
+share exceeds the parent's.
+
 Standard library only; numpy is asked about in a child process.
 """
 
@@ -123,6 +129,20 @@ def summarize(runs, metrics):
     return summary
 
 
+def failures(runs):
+    """Per side, the failed share of the operations attempted over all runs,
+    and whether every run was correct; ``more_failed`` compares the shares."""
+    entry = {}
+    for side in ("parent", "change"):
+        attempted = sum(run[side]["attempted"] for run in runs)
+        failed = sum(run[side]["failed"] for run in runs)
+        entry[side] = {"attempted": attempted, "failed": failed,
+                       "failed_share": failed / attempted,
+                       "all_correct": all(run[side]["correct"] is True for run in runs)}
+    entry["more_failed"] = entry["change"]["failed_share"] > entry["parent"]["failed_share"]
+    return entry
+
+
 def machine():
     probe = ("import json, numpy; c = numpy.show_config(mode='dicts');"
              "b = c['Build Dependencies']['blas'];"
@@ -193,7 +213,8 @@ def main(argv=None):
                     file=sys.stderr, flush=True)
                 runs.append(run)
             entry = report["workloads"][workload] = {
-                "seeds": seeds, "runs": runs, "summary": summarize(runs, metrics)}
+                "seeds": seeds, "runs": runs, "summary": summarize(runs, metrics),
+                "failures": failures(runs)}
             if args.trace:
                 entry["per_layer"] = summarize([run["traced"] for run in runs], layers)
     out = ROOT / f"BENCH_{args.tag}.json"
