@@ -17,7 +17,7 @@ values are the one column that cannot be reproducible.
 """
 
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -79,8 +79,6 @@ class RunConfig:
     cond: float = 3.0
     algorithms: tuple = ("pegi_sinr", "oracle_ainv", "oracle_sinropt")
     epsilon: float = 1e-6
-    max_iters: int = 100
-    max_restarts: int = 10
     timing: bool = True
 
     def __post_init__(self):
@@ -136,9 +134,9 @@ def _run_cell(config: RunConfig, model, N, data_seed, iter_seed, **labels):
     Returns one row per algorithm, labelled with ``N`` and ``labels``.  The
     ``pegi_*`` algorithms share the estimate, matched once to the true
     columns, and with it its status; each of their rows counts the
-    estimate's time in its runtime.  A :class:`PegicaError` becomes the
-    row's status.  The samples live only in this call, so a sweep holds one
-    cell's data at a time.
+    estimate's time in its runtime.  A :class:`PegicaError` from the
+    estimate becomes their status.  The samples live only in this call, so
+    a sweep holds one cell's data at a time.
     """
     def ms_since(start):
         return (time.perf_counter() - start) * 1e3 if config.timing else 0.0
@@ -150,9 +148,7 @@ def _run_cell(config: RunConfig, model, N, data_seed, iter_seed, **labels):
         try:
             oracle = CumulantOracle(samples)
             est = pegi_full(build_C(oracle), oracle, config.m, IterationConfig(
-                epsilon=config.epsilon, max_iters=config.max_iters,
-                max_restarts=config.max_restarts, rng_seed=iter_seed,
-            ))
+                epsilon=config.epsilon, rng_seed=iter_seed))
             perm, _, angles = dx.match_columns(est.A_hat, model.A)
             matched = est.A_hat, perm, float(angles.max())
         except PegicaError as error:
@@ -162,20 +158,17 @@ def _run_cell(config: RunConfig, model, N, data_seed, iter_seed, **labels):
     for algorithm in config.algorithms:
         start = time.perf_counter()
         pegi = algorithm in _ESTIMATED
-        values, status = (float("nan"),) * 3, est_status if pegi else "ok"
+        values = (float("nan"),) * 3
         if matched is not None or not pegi:
             A_hat, perm, max_angle = matched if pegi else (None, None, 0.0)
-            try:
-                B = DEMIXERS[algorithm](model, samples, A_hat)
-                sinr, loss_db = dx.sinr_loss(B, model, perm)
-                values = float(to_db(sinr).mean()), float(loss_db.mean()), max_angle
-            except PegicaError as error:
-                status = _status(error)
+            sinr, loss_db = dx.sinr_loss(DEMIXERS[algorithm](model, samples, A_hat), model, perm)
+            values = float(to_db(sinr).mean()), float(loss_db.mean()), max_angle
         mean_db, mean_loss, max_angle = values
         rows.append(BenchmarkRow(
             algorithm=algorithm, N=N, **labels, mean_sinr_db=mean_db,
             mean_sinr_loss_db=mean_loss, max_column_angle_deg=max_angle,
-            runtime_ms=ms_since(start) + (est_ms if pegi else 0.0), status=status,
+            runtime_ms=ms_since(start) + (est_ms if pegi else 0.0),
+            status=est_status if pegi else "ok",
         ))
     return rows
 
@@ -296,7 +289,7 @@ def _parse_value(value, default):
     return type(default)(value)
 
 
-def config_from_mapping(mapping, base: RunConfig = None):
+def config_from_mapping(mapping):
     """Build a RunConfig from string key=value pairs (config file or flags).
 
     Keys are RunConfig's field names; each value takes the type of the
@@ -311,4 +304,4 @@ def config_from_mapping(mapping, base: RunConfig = None):
         if key not in defaults:
             raise ValueError(f"unknown config key {key!r}")
         kwargs[key] = _parse_value(value, defaults[key])
-    return replace(base or RunConfig(), **kwargs)
+    return RunConfig(**kwargs)

@@ -159,12 +159,9 @@ def cmd_estimate(args):
         return EXIT_USAGE
     oracle = CumulantOracle(samples)
     metric = build_C(oracle)
-    cfg = IterationConfig(
-        epsilon=args.epsilon, max_iters=args.max_iters,
-        max_restarts=args.max_restarts, rng_seed=args.seed,
-    )
     try:
-        est = pegi_full(metric, oracle, args.m, cfg)
+        est = pegi_full(metric, oracle, args.m, IterationConfig(
+            epsilon=args.epsilon, rng_seed=args.seed))
     except PartialRecoveryError as exc:
         _write_estimate(outdir, exc.estimate, args.m, "partial")
         print(f"partial recovery: {exc}", file=sys.stderr)
@@ -303,8 +300,6 @@ def build_parser():
     est.add_argument("samples_file")
     est.add_argument("--m", type=int, required=True, help="number of sources")
     est.add_argument("--epsilon", type=float, default=1e-6)
-    est.add_argument("--max-iters", type=int, default=100)
-    est.add_argument("--max-restarts", type=int, default=10)
     est.add_argument("--seed", type=int, default=0)
     est.add_argument("--out", type=str, default=None)
     est.set_defaults(func=cmd_estimate)
@@ -332,8 +327,6 @@ def build_parser():
     ben.add_argument("--algo", dest="algorithms", type=str, default=None,
                      help="comma list of algorithms")
     ben.add_argument("--epsilon", type=float, default=None)
-    ben.add_argument("--max-iters", type=int, default=None)
-    ben.add_argument("--max-restarts", type=int, default=None)
     ben.add_argument("--no-timing", dest="timing", action="store_const", const="false",
                      help="write zero runtimes so output is byte-reproducible")
     ben.add_argument("--out", type=str, default=None)

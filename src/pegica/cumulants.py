@@ -586,10 +586,6 @@ class PseudoMetric:
     def dim(self):
         return self.C.shape[0]
 
-    @property
-    def is_complex(self):
-        return np.iscomplexobj(self.C)
-
 
 def build_C(oracle: CumulantOracle) -> PseudoMetric:
     """Assemble the pseudo-Euclidean metric from the oracle's ``C``.

@@ -38,7 +38,8 @@ class IllConditionedRowError(PegicaError):
 
 
 class ConvergenceError(PegicaError):
-    """The fixed-point iteration exhausted its iteration budget.
+    """The fixed-point iteration exhausted its iteration budget or locked
+    into a period-2 cycle.
 
     Carries the :class:`~pegica.recovery.ConvergenceTrace` accumulated so
     far in ``trace``.

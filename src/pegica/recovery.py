@@ -48,30 +48,33 @@ _ROW_DENOM_FLOOR = 1e-10
 _DEFLATE_PASSES = 4
 # standard errors by which a sample-built source's kurtosis must clear zero
 _MIN_KURTOSIS_Z = 5.0
+# largest normalized C_pinv product a candidate may have with a found column
+_MAX_DUPLICATE_R = 0.9
+# cubic convergence settles a start in a handful of updates, and more starts
+# do not find columns the gates refuse, so both budgets are fixed
+_MAX_ITERS = 100  # updates per start
+_MAX_RESTARTS = 10  # starts per column
 
 
 @dataclass(frozen=True)
 class IterationConfig:
-    """Knobs for the fixed-point loop.
+    """Settings of the fixed-point loop.
 
     ``epsilon`` is the convergence threshold on the phase-invariant
     distance between consecutive unit iterates.  1e-9 suits noise-free
     model-built oracles; something like 1e-6 is a better default under
     sampling error, where chasing tighter residuals just fits noise.
-    Cubic convergence keeps iteration counts small, so ``max_iters`` is a
-    safety net rather than a tuning knob.
+    ``rng_seed`` seeds the random starts.  The budgets are fixed: each start
+    gets at most ``_MAX_ITERS`` updates and each column at most
+    ``_MAX_RESTARTS`` starts.
     """
 
     epsilon: float = 1e-9
-    max_iters: int = 100
-    max_restarts: int = 10
     rng_seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
-        if self.max_iters < 1 or self.max_restarts < 1:
-            raise ValueError("max_iters and max_restarts must be >= 1")
 
 
 @dataclass
@@ -194,8 +197,9 @@ def recover_column(u0, metric: PseudoMetric, oracle: CumulantOracle,
     Raises
     ------
     ConvergenceError
-        If ``cfg.max_iters`` updates pass without the phase-invariant
-        residual dropping below ``cfg.epsilon``; carries the trace.
+        If ``_MAX_ITERS`` updates pass without the phase-invariant
+        residual dropping below ``cfg.epsilon``, or the iteration locks
+        into a period-2 cycle; carries the trace.
     DegenerateDirectionError
         Propagated from :func:`pegi_update`.
     """
@@ -204,7 +208,7 @@ def recover_column(u0, metric: PseudoMetric, oracle: CumulantOracle,
     prev = u
     prev2 = None
     cycle_hits = 0
-    for _ in range(cfg.max_iters):
+    for _ in range(_MAX_ITERS):
         if est is not None and est.columns_found:
             u = deflate(u, est)
             norm = np.linalg.norm(u)
@@ -234,7 +238,7 @@ def recover_column(u0, metric: PseudoMetric, oracle: CumulantOracle,
         prev2 = prev
         prev = u
     raise ConvergenceError(
-        f"no convergence after {cfg.max_iters} iterations "
+        f"no convergence after {_MAX_ITERS} iterations "
         f"(last residual {trace.residuals[-1]:.3e})",
         trace=trace,
     )
@@ -267,7 +271,7 @@ def pegi_full(metric: PseudoMetric, oracle: CumulantOracle, m,
 
     Runs the deflated fixed-point iteration from random unit starts, one
     column at a time, pairing every found column with its pseudoinverse
-    row.  Each column gets up to ``cfg.max_restarts`` fresh starts; a
+    row.  Each column gets up to ``_MAX_RESTARTS`` fresh starts; a
     start is abandoned on non-convergence, a degenerate gradient, an
     ill-conditioned row estimate, or (for sample-built oracles) a converged
     column whose source — the projection on the SINR-optimal demixing
@@ -275,7 +279,12 @@ def pegi_full(metric: PseudoMetric, oracle: CumulantOracle, m,
     indistinguishable from Gaussian sampling noise (``_MIN_KURTOSIS_Z``
     standard errors).  The empirical landscape has such spurious fixed
     points when a source is Gaussian or its fourth cumulant sits below
-    the noise floor.
+    the noise floor.  A start is also abandoned when its column repeats a
+    found one: true columns are orthogonal under the bilinear form
+    ``a^T C_pinv conj(b)`` of :func:`recover_row_pinv`, and a candidate
+    whose normalized product with a found column exceeds
+    ``_MAX_DUPLICATE_R`` is that column found again through leaky
+    deflation.
 
     Raises
     ------
@@ -295,12 +304,11 @@ def pegi_full(metric: PseudoMetric, oracle: CumulantOracle, m,
             estimate=MixingEstimate.empty(n, m, oracle.is_complex),
         )
     rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed))
-    complex_field = oracle.is_complex or metric.is_complex
-    est = MixingEstimate.empty(n, m, complex_field)
+    est = MixingEstimate.empty(n, m, oracle.is_complex)
     for _ in range(m):
         found = False
-        for _ in range(cfg.max_restarts):
-            u0 = random_unit(n, rng, complex_field)
+        for _ in range(_MAX_RESTARTS):
+            u0 = random_unit(n, rng, oracle.is_complex)
             try:
                 column, _ = recover_column(u0, metric, oracle, cfg, est=est)
                 row = recover_row_pinv(metric, column)
@@ -309,13 +317,18 @@ def pegi_full(metric: PseudoMetric, oracle: CumulantOracle, m,
             z = oracle.source_z_score(column)
             if z is not None and z < _MIN_KURTOSIS_Z:
                 continue
+            # r against every found column, in recover_row_pinv's bilinear form
+            F = np.column_stack([est.A_hat[:, :est.columns_found], column])
+            G = np.abs(F.T @ metric.C_pinv @ np.conj(F))
+            if np.any(G[-1, :-1] > _MAX_DUPLICATE_R * np.sqrt(G[-1, -1] * np.diag(G)[:-1])):
+                continue
             est.add(column, row)
             found = True
             break
         if not found:
             raise PartialRecoveryError(
                 f"column {est.columns_found + 1} of {m} failed after "
-                f"{cfg.max_restarts} restarts",
+                f"{_MAX_RESTARTS} restarts",
                 estimate=est,
             )
     return est

@@ -154,9 +154,30 @@ def test_machine_records_whether_bytecode_is_cached(monkeypatch):
     assert _load_bench_pairs().machine()["PYTHONDONTWRITEBYTECODE"] == "1"
 
 
+def test_src_code_lines_leave_out_blank_comment_and_docstring_lines(tmp_path):
+    package = tmp_path / "src" / "pegica"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text(
+        '"""Module\n\ndocstring."""\n'
+        "\n"
+        "# a comment\n"
+        "def f(x):  # a trailing comment\n"
+        '    """One line."""\n'
+        '    text = """a string\n'
+        'of two lines"""\n'
+        "    return (x +\n"
+        "            1)\n"
+    )
+    (package / "notes.txt").write_text("x = 1\n")
+    assert _bench_pairs.src_lines(tmp_path) == 11
+    # the def, both lines of the string and both of the return
+    assert _bench_pairs.src_code_lines(tmp_path) == 5
+
+
 def test_the_report_records_src_lines_of_both_trees(tmp_path, monkeypatch):
     # main() on a stand-in repository: the parent holds 2 lines of
-    # src/pegica/*.py, the working tree 4 (files of other kinds do not count)
+    # src/pegica/*.py, the working tree 4 (files of other kinds do not count),
+    # of which 2 and 1 hold code
     bench_pairs = _load_bench_pairs()
     (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
     package = tmp_path / "src" / "pegica"
@@ -180,4 +201,5 @@ def test_the_report_records_src_lines_of_both_trees(tmp_path, monkeypatch):
     bench_pairs.main(["--tag", "t", "--seconds", "0", "--workload", "sweep:0"])
     report = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert report["src_lines"] == {"parent": 2, "change": 4}
+    assert report["src_code_lines"] == {"parent": 2, "change": 1}
     assert report["workloads"]["sweep"]["failures"]["change"]["failed_share"] == 0.25

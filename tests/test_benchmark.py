@@ -81,9 +81,10 @@ class TestRunConfig:
         assert cfg.timing is False
         assert cfg.n == 4 and type(cfg.n) is int
         assert cfg.cond == 2.5
-        # flags arrive as already-typed values and win over the base
-        cfg = config_from_mapping({"trials": 2, "timing": None}, base=cfg)
-        assert (cfg.trials, cfg.n, cfg.timing) == (2, 4, False)
+        # the CLI merges the file's strings and the flags' typed values into
+        # one mapping; a flag left unset arrives as None and keeps the default
+        cfg = config_from_mapping({"n": "4", "timing": "no", "trials": 2, "cond": None})
+        assert (cfg.trials, cfg.n, cfg.timing, cfg.cond) == (2, 4, False, 3.0)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
@@ -236,8 +237,7 @@ class TestSharedEstimate:
             stream(cfg.seed, "sources", 0, 0, 0).integers(0, 2**63 - 1)))
         oracle = CumulantOracle(center(batch.X))
         est = pegi_full(build_C(oracle), oracle, cfg.m, IterationConfig(
-            epsilon=cfg.epsilon, max_iters=cfg.max_iters, max_restarts=cfg.max_restarts,
-            rng_seed=int(rows["pegi_sinr"].seed)))
+            epsilon=cfg.epsilon, rng_seed=int(rows["pegi_sinr"].seed)))
         _, _, angles = match_columns(est.A_hat, model.A)
         for algorithm in self.PEGI:
             assert rows[algorithm].status == "ok"

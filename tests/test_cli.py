@@ -132,6 +132,21 @@ class TestEstimate:
         code = run_cli("estimate", sim_dir / "X.csv", "--m", 0, "--out", tmp_path / "e")
         assert code == 2
 
+    def test_m_above_data_dimension_is_usage_error(self, tmp_path, rng, capsys):
+        path = tmp_path / "eight.csv"
+        write_matrix_csv(path, rng.standard_normal((500, 8)))
+        code = run_cli("estimate", path, "--m", 9, "--out", tmp_path / "est")
+        assert code == 2
+        assert "m=9 exceeds data dimension 8" in capsys.readouterr().err
+        assert not (tmp_path / "est" / "A_hat.csv").exists()
+
+    def test_budget_flag_is_refused(self, sim_dir, tmp_path):
+        # the iteration budgets are constants of pegica.recovery
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("estimate", sim_dir / "X.csv", "--m", 4, "--max-restarts", 3,
+                    "--out", tmp_path / "est")
+        assert excinfo.value.code == 2
+
     def test_gaussian_only_input_partial_exit(self, tmp_path, rng):
         path = tmp_path / "gauss.csv"
         write_matrix_csv(path, rng.standard_normal((20000, 3)))
@@ -359,6 +374,17 @@ class TestBenchmarkCommand:
         assert flags["noise_powers"] == ["--noise-power"]
         assert flags["algorithms"] == ["--algo"]
         assert flags["timing"] == ["--no-timing"]
+
+    def test_budget_flag_and_key_are_refused(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("benchmark", "--max-iters", 5, "--out", tmp_path / "ben")
+        assert excinfo.value.code == 2
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("trials=1\nmax_restarts=3\n")
+        capsys.readouterr()
+        assert run_cli("benchmark", "--config", cfg, "--out", tmp_path / "ben") == 2
+        assert "max_restarts" in capsys.readouterr().err
+        assert not (tmp_path / "ben" / "benchmark.csv").exists()
 
     def test_tiny_sweep_row_counts(self, tmp_path):
         out = tmp_path / "ben"

@@ -8,11 +8,13 @@ from pegica import (
     GroundTruthModel,
     IterationConfig,
     MixingEstimate,
+    PseudoMetric,
     build_C,
     center,
     converged_up_to_phase,
     deflate,
     draw_batch,
+    make_model,
     match_columns,
     noise_cov,
     pegi_full,
@@ -23,6 +25,7 @@ from pegica import (
     stream,
 )
 from pegica.errors import (
+    ConvergenceError,
     DegenerateDirectionError,
     IllConditionedRowError,
     PartialRecoveryError,
@@ -129,7 +132,7 @@ class TestRecoverColumn:
         # the basin (residual < 0.1)
         model = make_test_model(n=6, seed=4)
         metric, oracle = _metric_oracle(model)
-        cfg = IterationConfig(epsilon=1e-13, max_iters=60, rng_seed=0)
+        cfg = IterationConfig(epsilon=1e-13, rng_seed=0)
         rng = stream(9, "starts")
         slopes = []
         for _ in range(20):
@@ -153,6 +156,18 @@ class TestRecoverColumn:
             slopes.append(slope)
         assert len(slopes) >= 15
         assert np.mean(np.asarray(slopes) >= 2.5) >= 0.9
+
+    @pytest.mark.parametrize("angle, updates", [(0.0, 3), (0.3, 6)])
+    def test_period_two_cycle_stops_early(self, angle, updates):
+        # a C_pinv that swaps the axes sends e1 to e2 and back, so the
+        # iterates alternate and the loop stops long before its budget
+        oracle = CumulantOracle.from_mixing(np.eye(2), [1.0, 1.0])
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        metric = PseudoMetric(C=swap, C_pinv=swap, rank=2, eigvals=np.array([-1.0, 1.0]))
+        u0 = np.array([np.cos(angle), np.sin(angle)])
+        with pytest.raises(ConvergenceError, match="period-2 cycle") as excinfo:
+            recover_column(u0, metric, oracle, IterationConfig())
+        assert len(excinfo.value.trace) == updates
 
 
 class TestRecoverRowPinv:
@@ -301,7 +316,7 @@ class TestPegiFull:
         oracle = CumulantOracle.from_mixing(np.eye(3), [0.0, 0.0, 0.0])
         metric = build_C(oracle)
         with pytest.raises(PartialRecoveryError) as excinfo:
-            pegi_full(metric, oracle, 3, IterationConfig(rng_seed=5, max_restarts=2))
+            pegi_full(metric, oracle, 3, IterationConfig(rng_seed=5))
         assert excinfo.value.estimate.columns_found == 0
 
     def test_m_larger_than_rank_rejected(self):
@@ -317,8 +332,7 @@ class TestPegiFull:
         oracle = CumulantOracle(center(X))
         metric = build_C(oracle)
         with pytest.raises(PartialRecoveryError) as excinfo:
-            pegi_full(metric, oracle, 3, IterationConfig(
-                epsilon=1e-6, rng_seed=13, max_restarts=3))
+            pegi_full(metric, oracle, 3, IterationConfig(epsilon=1e-6, rng_seed=13))
         assert excinfo.value.estimate.columns_found == 0
 
     def test_significance_gate_passes_true_sources(self):
@@ -370,3 +384,24 @@ class TestPegiFull:
         est = pegi_full(build_C(oracle), oracle, n, IterationConfig(epsilon=1e-6, rng_seed=seed))
         _, _, angles = match_columns(est.A_hat, A)
         assert np.max(angles) <= 2.0
+
+
+class TestDuplicateGate:
+    @pytest.mark.parametrize("seed", [30, 36])
+    def test_no_found_column_repeats_another(self, seed):
+        # without the gate both seeds end ok with one source found twice
+        # (r above 0.998) and another column about 80 degrees off
+        model = make_model(8, noise_power=0.1, seed=seed)
+        oracle = CumulantOracle(center(draw_batch(model, 3000, seed=seed).X))
+        metric = build_C(oracle)
+        try:
+            est = pegi_full(metric, oracle, 8, IterationConfig(epsilon=1e-6, rng_seed=seed))
+        except PartialRecoveryError as exc:
+            est = exc.estimate
+        F = est.A_hat[:, :est.columns_found]
+        G = np.abs(F.T @ metric.C_pinv @ F.conj())
+        d = np.sqrt(np.diag(G))
+        r = G / np.outer(d, d) - np.eye(est.columns_found)
+        assert est.columns_found >= 2 and r.max() <= 0.9
+        if est.columns_found == 8:
+            assert np.max(match_columns(est.A_hat, model.A)[2]) <= 20.0

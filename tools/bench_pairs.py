@@ -23,8 +23,10 @@ The result goes to ``BENCH_<tag>.json`` at the repository root: every run's
 metrics, each side's median and quartiles per end-to-end metric of
 ``BENCHMARK.json``, how many pairs the working tree won, lost and tied on
 each, the seeds, ``--seconds``, the machine (CPU count, Python, numpy,
-BLAS, and whether bytecode is cached) and ``src_lines``, the line count of
-``src/pegica/*.py`` in the parent and in the working tree.  Each metric
+BLAS, and whether bytecode is cached), ``src_lines``, the line count of
+``src/pegica/*.py`` in the parent and in the working tree, and
+``src_code_lines``, the same count without blank, comment-only and
+docstring lines, so that deleted prose does not read as less code.  Each metric
 gets a claim verdict, the rule a claimed gain must pass:
 
 * ``claim_met``: the working tree won at least nine tenths of the pairs
@@ -49,6 +51,7 @@ Standard library only; numpy is asked about in a child process.
 """
 
 import argparse
+import ast
 import io
 import json
 import os
@@ -58,6 +61,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -78,6 +82,29 @@ def extract(rev, into):
 def src_lines(tree):
     """Lines of ``src/pegica/*.py`` in ``tree``, counted as ``wc -l`` does."""
     return sum(path.read_bytes().count(b"\n") for path in Path(tree).glob("src/pegica/*.py"))
+
+
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def src_code_lines(tree):
+    """Lines of ``src/pegica/*.py`` in ``tree`` that hold a token of code:
+    blank, comment-only and docstring lines are not counted."""
+    total = 0
+    for path in Path(tree).glob("src/pegica/*.py"):
+        source = path.read_text()
+        docstrings = set()
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                    and ast.get_docstring(node, clean=False) is not None):
+                docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        code = set()
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type not in _NOT_CODE:
+                code.update(range(tok.start[0], tok.end[0] + 1))
+        total += len(code - docstrings)
+    return total
 
 
 def run_once(tree, workload, seed, seconds, trace=0):
@@ -198,6 +225,7 @@ def main(argv=None):
         extract(parent, parent_tree)
         trees = {"parent": parent_tree, "change": ROOT}
         report["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
+        report["src_code_lines"] = {side: src_code_lines(tree) for side, tree in trees.items()}
         for workload, seeds in args.workload:
             runs = []
             for pair, seed in enumerate(seeds):
