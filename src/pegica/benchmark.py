@@ -29,6 +29,7 @@ from .matio import read_table, write_table
 from .recovery import IterationConfig, pegi_full
 from .simulate import (
     GroundTruthModel,
+    check_noise_power,
     default_source_panel,
     draw_batch,
     finite_kurtosis_panel,
@@ -94,6 +95,10 @@ class RunConfig:
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
+        # refused here, before the first cell runs, by the checks that own them
+        for p in self.noise_powers:
+            check_noise_power(p)
+        IterationConfig(epsilon=self.epsilon)
 
 
 @dataclass

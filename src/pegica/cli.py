@@ -9,9 +9,10 @@ benchmark  run the seeded sweep and write the per-trial/aggregate CSV
 report     condense a benchmark CSV into a per-(algorithm, N, p) summary
 
 Exit codes: 0 success, 2 usage, 3 file error (unreadable, unwritable or
-unparseable), 4 numerical failure
-(a noise covariance that is not PSD, a failed consistency check), 5 partial
-recovery (also for a rank-deficient metric and columns that do not converge).
+unparseable), 4 numerical failure (a noise covariance that is not PSD, a
+failed consistency check), 5 partial recovery (also a rank-deficient
+metric, unconverged columns, an estimate with all-zero columns).  Commands
+raise what they refuse; :func:`main` alone maps that to an exit code.
 
 The default output directory is the PEGICA_OUT_DIR environment variable,
 falling back to the current directory.  All files are plain text; see
@@ -55,7 +56,6 @@ from .matio import (
 from .recovery import IterationConfig, pegi_full
 from .simulate import (
     GroundTruthModel,
-    default_source_panel,
     draw_batch,
     make_model,
     source_spec,
@@ -117,10 +117,6 @@ def _read_model(model_dir):
 
 
 def cmd_simulate(args):
-    if not 0 <= args.noise_power < float("inf"):
-        print("error: --noise-power must be a nonnegative finite number", file=sys.stderr)
-        return EXIT_USAGE
-    outdir = _out_dir(args.out)
     sources = None
     if args.sources:
         sources = tuple(source_spec(t) for t in args.sources.split(","))
@@ -128,6 +124,7 @@ def cmd_simulate(args):
         n=args.n, m=args.m, cond=args.cond, noise_power=args.noise_power,
         sources=sources, seed=args.seed,
     )
+    outdir = _out_dir(args.out)
     batch = draw_batch(model, args.samples, seed=args.seed)
     _write_model(outdir, model, args.seed)
     write_matrix_csv(outdir / "X.csv", batch.X)
@@ -149,14 +146,12 @@ def _write_estimate(outdir, est, m, status):
 
 def cmd_estimate(args):
     if args.m < 1:
-        print("error: --m must be a positive integer", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--m must be a positive integer")
     outdir = _out_dir(args.out)
     X = parse_matrix_csv(args.samples_file)
     samples = center(X)
     if args.m > samples.dim:
-        print(f"error: m={args.m} exceeds data dimension {samples.dim}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"m={args.m} exceeds data dimension {samples.dim}")
     oracle = CumulantOracle(samples)
     metric = build_C(oracle)
     try:
@@ -164,8 +159,7 @@ def cmd_estimate(args):
             epsilon=args.epsilon, rng_seed=args.seed))
     except PartialRecoveryError as exc:
         _write_estimate(outdir, exc.estimate, args.m, "partial")
-        print(f"partial recovery: {exc}", file=sys.stderr)
-        return EXIT_PARTIAL
+        raise
     _write_estimate(outdir, est, args.m, "ok")
     print(f"recovered {est.columns_found}/{args.m} columns -> {outdir / 'A_hat.csv'}")
     return EXIT_OK
@@ -178,29 +172,24 @@ def cmd_demix(args):
     bad = np.argwhere(~np.isfinite(A_hat))
     if bad.size:
         row, col = bad[0] + 1
-        print(
-            f"error: {args.estimate_file}: row {row}, column {col} of the estimate "
-            "is not finite; no demixer written",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise ValueError(f"{args.estimate_file}: row {row}, column {col} of the estimate "
+                         "is not finite; no demixer written")
     if A_hat.shape[0] != X.shape[1]:
-        print(
-            f"error: estimate has {A_hat.shape[0]} rows but samples have "
-            f"{X.shape[1]} columns",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise ValueError(f"estimate has {A_hat.shape[0]} rows but samples have "
+                         f"{X.shape[1]} columns")
     # estimate writes the columns a partial recovery missed as zeros
-    missing = np.flatnonzero(~np.any(A_hat, axis=0))
+    missing = np.flatnonzero(~np.any(A_hat, axis=0)) + 1
     if missing.size:
-        print(
-            f"error: estimate columns {', '.join(map(str, missing))} are all zero "
-            "(partial recovery); no demixer written",
-            file=sys.stderr,
-        )
-        return EXIT_PARTIAL
-    model = _read_model(args.model) if args.model else None
+        raise PartialRecoveryError(f"estimate columns {', '.join(map(str, missing))} are "
+                                   "all zero; no demixer written")
+    if args.model:
+        model = _read_model(args.model)
+        try:
+            perm, phases, angles = dx.match_columns(A_hat, model.A)
+        except ValueError as exc:
+            raise ValueError(f"{args.estimate_file} (shape {A_hat.shape}) does not fit "
+                             f"{Path(args.model) / 'A.csv'} (shape {model.A.shape}): "
+                             f"{exc}") from None
     samples = center(X)
     if args.mode == "sinr_opt":
         cov = dx.sample_cov(samples)
@@ -218,8 +207,7 @@ def cmd_demix(args):
     S_hat = demixer.apply(samples.data)
     write_matrix_csv(outdir / "S_hat.csv", S_hat)
     print(f"wrote demixed sources ({args.mode}) to {outdir / 'S_hat.csv'}")
-    if model is not None:
-        perm, phases, angles = dx.match_columns(A_hat, model.A)
+    if args.model:
         sinr, loss_db = dx.sinr_loss(demixer.B, model, perm)
         sinr_db = to_db(sinr)
         row_of = np.argsort(perm)
@@ -354,10 +342,10 @@ def main(argv=None):
     except (ModelConstructionError, NumericalConsistencyError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except PegicaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except PartialRecoveryError as exc:
+        print(f"partial recovery: {exc}", file=sys.stderr)
+        return EXIT_PARTIAL
+    except (PegicaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

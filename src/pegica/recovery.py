@@ -74,7 +74,7 @@ class IterationConfig:
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
+            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
 
 
 @dataclass

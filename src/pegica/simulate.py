@@ -34,6 +34,7 @@ __all__ = [
     "DrawBatch",
     "stream",
     "random_mixing",
+    "check_noise_power",
     "noise_cov",
     "default_source_panel",
     "finite_kurtosis_panel",
@@ -201,14 +202,19 @@ def random_mixing(n, m, cond, rng):
     return (U * sigma) @ V.T
 
 
+def check_noise_power(p):
+    """Refuse a noise power that is negative, nan or infinite (ValueError)."""
+    if not 0 <= p < math.inf:
+        raise ValueError(f"noise power must be a nonnegative finite number, got {p}")
+
+
 def noise_cov(A, p):
     """Malaligned noise covariance ``p (10 I - A A^H)``.
 
-    Requires the largest singular value of ``A`` to stay below sqrt(10)
-    so the result is positive semidefinite.
+    ``p`` must pass :func:`check_noise_power`; the largest singular value
+    of ``A`` must stay below sqrt(10) so the result is positive semidefinite.
     """
-    if p < 0:
-        raise ModelConstructionError("noise power must be nonnegative")
+    check_noise_power(p)
     A = np.atleast_2d(np.asarray(A))
     n = A.shape[0]
     gram = A @ A.conj().T

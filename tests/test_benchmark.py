@@ -54,6 +54,17 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(panel="nonsense")
 
+    @pytest.mark.parametrize("overrides, named", [
+        (dict(noise_powers=(0.1, -0.2)), "got -0.2"),
+        (dict(noise_powers=(float("nan"),)), "got nan"),
+        (dict(noise_powers=(float("inf"),)), "got inf"),
+        (dict(epsilon=2.0), "got 2.0"),
+    ], ids=["negative", "nan", "inf", "epsilon"])
+    def test_values_their_owners_refuse(self, overrides, named):
+        # noise_cov's and IterationConfig's checks, before any cell runs
+        with pytest.raises(ValueError, match=named):
+            RunConfig(**overrides)
+
     def test_config_from_mapping_parses_lists_and_flags_win(self):
         cfg = config_from_mapping({
             "samples": "1000,2000",

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: files, exit codes, pipeline coherence."""
 
 import argparse
+import ast
 import os
 import re
 import shutil
@@ -26,6 +27,7 @@ from pegica import (
     sample_cov,
     sinr_optimal_demix,
 )
+from pegica import benchmark
 from pegica.benchmark import RunConfig
 from pegica.cli import build_parser, main
 from pegica.matio import (
@@ -52,6 +54,17 @@ def sim_dir(tmp_path):
     )
     assert code == 0
     return out
+
+
+def test_commands_return_only_ok():
+    # a refusal raises, and main() alone maps it to an exit code
+    tree = ast.parse(Path(pegica.cli.__file__).read_text())
+    commands = [f for f in tree.body
+                if isinstance(f, ast.FunctionDef) and f.name.startswith("cmd_")]
+    assert len(commands) == 5
+    for command in commands:
+        returned = {ast.unparse(r.value) for r in ast.walk(command) if isinstance(r, ast.Return)}
+        assert returned == {"EXIT_OK"}, command.name
 
 
 class TestSimulate:
@@ -98,7 +111,8 @@ class TestSimulate:
         code = run_cli("simulate", "--n", 4, "--noise-power", power, "--samples", 100,
                        "--out", tmp_path / "sim")
         assert code == 2
-        assert "--noise-power must be a nonnegative finite number" in capsys.readouterr().err
+        assert f"noise power must be a nonnegative finite number, got {power}" in \
+            capsys.readouterr().err
         assert not (tmp_path / "sim" / "X.csv").exists()
 
     def test_unwritable_output_exit(self, tmp_path, capsys):
@@ -156,6 +170,18 @@ class TestEstimate:
         meta = read_keyvalues(out / "estimate.txt")
         assert meta["columns_found"] == "0"
         assert meta["status"] == "partial"
+
+    def test_gaussian_only_input_writes_partial_files_and_one_line(self, tmp_path, rng,
+                                                                   capsys):
+        path = tmp_path / "gauss.csv"
+        write_matrix_csv(path, rng.standard_normal((20000, 3)))
+        out = tmp_path / "est"
+        assert run_cli("estimate", path, "--m", 3, "--out", out) == 5
+        assert parse_matrix_csv(out / "A_hat.csv").shape == (3, 3)
+        assert parse_matrix_csv(out / "B_hat.csv").shape == (3, 3)
+        assert read_keyvalues(out / "estimate.txt")["status"] == "partial"
+        err = capsys.readouterr().err
+        assert err.startswith("partial recovery: ") and err.count("\n") == 1
 
     def test_rank_deficient_metric_named_once(self, tmp_path, capsys):
         # three sources in four channels without noise: the metric has rank 3
@@ -295,8 +321,46 @@ class TestDemix:
         dem = tmp_path / "dem"
         code = run_cli("demix", gauss, est / "A_hat.csv", "--out", dem)
         assert code == 5
-        assert "columns 0, 1, 2 are all zero" in capsys.readouterr().err
+        assert "columns 1, 2, 3 are all zero" in capsys.readouterr().err
         assert not (dem / "S_hat.csv").exists()
+
+    def test_zero_columns_are_counted_from_one(self, tmp_path, rng, capsys):
+        write_matrix_csv(tmp_path / "X.csv", rng.laplace(size=(1000, 4)))
+        A_hat = np.eye(4)
+        A_hat[:, 2:] = 0.0
+        write_matrix_csv(tmp_path / "A_hat.csv", A_hat)
+        code = run_cli("demix", tmp_path / "X.csv", tmp_path / "A_hat.csv",
+                       "--out", tmp_path / "d")
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith("partial recovery: estimate columns 3, 4 are all zero")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "d" / "S_hat.csv").exists()
+
+    @pytest.mark.parametrize("case, reason", [
+        ("square", "column sets must have identical shapes"),
+        ("repeated", "column matching requires full column rank"),
+    ])
+    def test_model_that_does_not_fit_the_estimate_writes_nothing(self, tmp_path, capsys,
+                                                                 case, reason):
+        # three sources in four channels
+        sim = tmp_path / "sim"
+        run_cli("simulate", "--n", 4, "--m", 3, "--samples", 2000, "--seed", 2, "--out", sim)
+        A = parse_matrix_csv(sim / "A.csv")
+        if case == "square":
+            A_hat = np.eye(4)
+        else:
+            A_hat = A.copy()
+            A_hat[:, 2] = A[:, 0]
+        write_matrix_csv(tmp_path / "A_hat.csv", A_hat)
+        capsys.readouterr()
+        code = run_cli("demix", sim / "X.csv", tmp_path / "A_hat.csv", "--model", sim,
+                       "--out", tmp_path / "d")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'A_hat.csv'} (shape {A_hat.shape}) "
+                              f"does not fit {sim / 'A.csv'} (shape (4, 3)): {reason}")
+        assert not (tmp_path / "d" / "S_hat.csv").exists()
 
     @staticmethod
     def _damaged_model(sim_dir, tmp_path):
@@ -384,6 +448,24 @@ class TestBenchmarkCommand:
         capsys.readouterr()
         assert run_cli("benchmark", "--config", cfg, "--out", tmp_path / "ben") == 2
         assert "max_restarts" in capsys.readouterr().err
+        assert not (tmp_path / "ben" / "benchmark.csv").exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (("--noise-power", "-0.1"), "noise power must be a nonnegative finite number, got -0.1"),
+        (("--noise-power", "nan"), "noise power must be a nonnegative finite number, got nan"),
+        (("--noise-power", "0.1,-0.2"),
+         "noise power must be a nonnegative finite number, got -0.2"),
+        (("--epsilon", "2"), "epsilon must lie in (0, 1), got 2.0"),
+    ], ids=["negative", "nan", "second_negative", "epsilon"])
+    def test_bad_value_is_refused_before_any_cell(self, tmp_path, capsys, monkeypatch,
+                                                  flags, named):
+        cells = []
+        monkeypatch.setattr(benchmark, "_run_cell", lambda *a, **k: cells.append(a) or [])
+        code = run_cli("benchmark", "--n", 3, "--m", 3, "--samples", 2000, "--trials", 1,
+                       "--algo", "oracle_ainv", *flags, "--out", tmp_path / "ben")
+        assert code == 2
+        assert f"error: {named}" in capsys.readouterr().err
+        assert cells == []
         assert not (tmp_path / "ben" / "benchmark.csv").exists()
 
     def test_tiny_sweep_row_counts(self, tmp_path):

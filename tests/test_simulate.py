@@ -154,6 +154,13 @@ class TestNoiseCov:
         signal_max = np.linalg.eigvalsh(A @ A.T).max()
         assert noise_max / signal_max == pytest.approx(p, rel=1e-10)
 
+    @pytest.mark.parametrize("p", [-1.0, float("nan"), float("inf")])
+    def test_out_of_range_power_is_a_value_error(self, p):
+        # a usage error, not a model that violates its own constraints
+        with pytest.raises(ValueError, match=f"nonnegative finite number, got {p}") as excinfo:
+            noise_cov(np.eye(3), p)
+        assert not isinstance(excinfo.value, ModelConstructionError)
+
     def test_psd_violation_raises(self):
         A = 4.0 * np.eye(3)  # largest singular value 4 > sqrt(10)
         with pytest.raises(ModelConstructionError):
