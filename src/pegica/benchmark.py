@@ -16,6 +16,7 @@ runtimes are measured only when ``timing`` is enabled, since wall-clock
 values are the one column that cannot be reproducible.
 """
 
+import threading
 import time
 from dataclasses import dataclass, fields
 
@@ -25,7 +26,7 @@ from . import demix as dx
 from .cumulants import CumulantOracle, build_C, center
 from .errors import MatrixFormatError, PartialRecoveryError, PegicaError
 from .linalg import to_db
-from .matio import read_table, write_table
+from .matio import _can_fork_a_worker, _forked, read_table, write_table
 from .recovery import IterationConfig, pegi_full
 from .simulate import (
     GroundTruthModel,
@@ -178,18 +179,12 @@ def _run_cell(config: RunConfig, model, N, data_seed, iter_seed, **labels):
     return rows
 
 
-def run_benchmark(config: RunConfig):
-    """Execute the full sweep; returns per-trial rows plus aggregates.
-
-    Each (trial, noise power, sample size) cell is one :func:`_run_cell`
-    call, which frees the cell's data before the next cell draws its own.
-    Per-trial failures (e.g. partial recovery on pathological data) are
-    recorded in the row's status column and never abort the sweep.
-    Rows come back sorted by (algorithm, N, p, trial) with aggregate rows
-    after the per-trial rows of their cell.
-    """
+def _run_trials(config: RunConfig, trials):
+    """Rows of the given trials, one :func:`_run_cell` call per (trial,
+    noise power, sample size) cell, so a cell's data is freed before the
+    next cell draws its own."""
     rows = []
-    for trial in range(config.trials):
+    for trial in trials:
         seed = _trial_seed(config.seed, trial)
         panel = PANELS[config.panel](config.m)
         A = random_mixing(config.n, config.m, config.cond, stream(config.seed, "mixing", trial))
@@ -199,6 +194,48 @@ def run_benchmark(config: RunConfig):
                 data_seed = stream(config.seed, "sources", trial, ip, iN).integers(0, 2**63 - 1)
                 rows += _run_cell(config, model, N, int(data_seed), seed ^ (ip << 8) ^ (iN << 4),
                                   p=p, trial=str(trial), seed=str(seed))
+    return rows
+
+
+def _run_split(config: RunConfig):
+    """Rows of every trial: the even ones run here, the odd ones in a forked
+    worker, which writes its rows as CSV lines that are parsed back.
+
+    The worker calls BLAS and starts ``draw_batch``'s noise thread, which
+    :func:`~pegica.matio._forked` allows only when no other Python thread is
+    alive at the fork: :func:`run_benchmark` checks that, and ``draw_batch``
+    joins its noise thread before it returns.
+    """
+    odd = range(1, config.trials, 2)
+    rows, theirs = _forked(
+        lambda tail: tail.writelines(",".join(r.as_csv_cells()) + "\n"
+                                     for r in _run_trials(config, odd)),
+        lambda: _run_trials(config, range(0, config.trials, 2)),
+        lambda tail: [_parse_row(line.rstrip("\n").split(","), f"worker row {i}")
+                      for i, line in enumerate(tail, start=1)],
+        f"the worker running trials {', '.join(map(str, odd))}")
+    return rows + theirs
+
+
+def run_benchmark(config: RunConfig):
+    """Execute the full sweep; returns per-trial rows plus aggregates.
+
+    Per-trial failures (e.g. partial recovery on pathological data) are
+    recorded in the row's status column and never abort the sweep.
+    Rows come back sorted by (algorithm, N, p, trial) with aggregate rows
+    after the per-trial rows of their cell.
+
+    Every stream is keyed by trial, so the trials may run in any process.
+    An untimed sweep of two or more trials runs its odd trials in a forked
+    worker when this process may use two CPUs and is its only Python
+    thread; the rows are the same either way.  A timed sweep stays in one
+    process, so that nothing else of the sweep runs beside a timed cell.
+    """
+    if (config.timing or config.trials < 2 or threading.active_count() > 1
+            or not _can_fork_a_worker()):
+        rows = _run_trials(config, range(config.trials))
+    else:
+        rows = _run_split(config)
     rows.sort(key=lambda r: (r.algorithm, r.N, r.p, int(r.trial)))
     return rows + aggregate_rows(rows)
 
@@ -249,17 +286,20 @@ def read_benchmark_csv(path):
     header, raw = read_table(path)
     if tuple(header) != BENCHMARK_HEADER:
         raise MatrixFormatError(f"{path}: unexpected benchmark header {header}")
-    rows = []
-    for i, cells in enumerate(raw, start=1):
-        values = []
-        for j, (f, cell) in enumerate(zip(fields(BenchmarkRow), cells), start=1):
-            try:
-                values.append(f.type(cell))
-            except ValueError:
-                raise MatrixFormatError(f"{path}: row {i}, column {j} ({f.name}): "
-                                        f"{cell!r} is not {f.type.__name__}") from None
-        rows.append(BenchmarkRow(*values))
-    return rows
+    return [_parse_row(cells, f"{path}: row {i}") for i, cells in enumerate(raw, start=1)]
+
+
+def _parse_row(cells, where):
+    # a cell that does not read as its column's type is named by ``where``
+    # and its column, counted from 1
+    values = []
+    for j, (f, cell) in enumerate(zip(fields(BenchmarkRow), cells), start=1):
+        try:
+            values.append(f.type(cell))
+        except ValueError:
+            raise MatrixFormatError(f"{where}, column {j} ({f.name}): "
+                                    f"{cell!r} is not {f.type.__name__}") from None
+    return BenchmarkRow(*values)
 
 
 def summarize(rows):

@@ -56,6 +56,7 @@ from .matio import (
 from .recovery import IterationConfig, pegi_full
 from .simulate import (
     GroundTruthModel,
+    check_noise_power,
     draw_batch,
     make_model,
     source_spec,
@@ -69,6 +70,8 @@ EXIT_PARTIAL = 5
 
 
 def _out_dir(arg):
+    # called once a command's input is accepted, so a refused command
+    # leaves no directory behind
     base = arg or os.environ.get("PEGICA_OUT_DIR") or "."
     path = Path(base)
     path.mkdir(parents=True, exist_ok=True)
@@ -102,7 +105,7 @@ def _read_model(model_dir):
         except ValueError as exc:
             raise MatrixFormatError(f"{path}: line {key}={meta[key]}: {exc}") from None
 
-    noise_power = parsed("noise_power", float)
+    noise_power = parsed("noise_power", lambda text: check_noise_power(float(text)))
     sources = parsed("sources", lambda text: tuple(source_spec(t) for t in text.split(",")))
     A = parse_matrix_csv(model_dir / "A.csv")
     if len(sources) != A.shape[1]:
@@ -124,8 +127,8 @@ def cmd_simulate(args):
         n=args.n, m=args.m, cond=args.cond, noise_power=args.noise_power,
         sources=sources, seed=args.seed,
     )
-    outdir = _out_dir(args.out)
     batch = draw_batch(model, args.samples, seed=args.seed)
+    outdir = _out_dir(args.out)
     _write_model(outdir, model, args.seed)
     write_matrix_csv(outdir / "X.csv", batch.X)
     write_matrix_csv(outdir / "S.csv", batch.S)
@@ -147,7 +150,6 @@ def _write_estimate(outdir, est, m, status):
 def cmd_estimate(args):
     if args.m < 1:
         raise ValueError("--m must be a positive integer")
-    outdir = _out_dir(args.out)
     X = parse_matrix_csv(args.samples_file)
     samples = center(X)
     if args.m > samples.dim:
@@ -158,15 +160,15 @@ def cmd_estimate(args):
         est = pegi_full(metric, oracle, args.m, IterationConfig(
             epsilon=args.epsilon, rng_seed=args.seed))
     except PartialRecoveryError as exc:
-        _write_estimate(outdir, exc.estimate, args.m, "partial")
+        _write_estimate(_out_dir(args.out), exc.estimate, args.m, "partial")
         raise
+    outdir = _out_dir(args.out)
     _write_estimate(outdir, est, args.m, "ok")
     print(f"recovered {est.columns_found}/{args.m} columns -> {outdir / 'A_hat.csv'}")
     return EXIT_OK
 
 
 def cmd_demix(args):
-    outdir = _out_dir(args.out)
     X = parse_matrix_csv(args.samples_file)
     A_hat = parse_matrix_csv(args.estimate_file)
     bad = np.argwhere(~np.isfinite(A_hat))
@@ -205,6 +207,7 @@ def cmd_demix(args):
     else:
         demixer = dx.pinv_demix(A_hat)
     S_hat = demixer.apply(samples.data)
+    outdir = _out_dir(args.out)
     write_matrix_csv(outdir / "S_hat.csv", S_hat)
     print(f"wrote demixed sources ({args.mode}) to {outdir / 'S_hat.csv'}")
     if args.model:
@@ -241,8 +244,9 @@ def _config_from_args(args):
 
 
 def cmd_benchmark(args):
-    outdir = _out_dir(args.out)
     config = _config_from_args(args)
+    # before the sweep, so an unusable directory is refused before it runs
+    outdir = _out_dir(args.out)
     rows = run_benchmark(config)
     path = outdir / "benchmark.csv"
     write_benchmark_csv(path, rows)
@@ -252,9 +256,9 @@ def cmd_benchmark(args):
 
 
 def cmd_report(args):
-    outdir = _out_dir(args.out)
     rows = read_benchmark_csv(args.benchmark_file)
     header, summary = summarize(rows)
+    outdir = _out_dir(args.out)
     path = outdir / "report.csv"
     write_table(path, header, summary)
     lines = [header] + [[str(c) for c in row] for row in summary]

@@ -19,7 +19,9 @@ kept as strings on read.  Config and model metadata use flat
 import math
 import os
 import shutil
+import sys
 import tempfile
+import traceback
 import warnings
 
 import numpy as np
@@ -82,6 +84,11 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
+def _can_fork_a_worker():
+    """Whether this process can fork and may run on two or more CPUs."""
+    return hasattr(os, "fork") and _usable_cpus() > 1
+
+
 def write_matrix_csv(path, M):
     """Write a 2-D array in the matrix CSV format described above.
 
@@ -100,7 +107,7 @@ def write_matrix_csv(path, M):
     rows, cols = M.shape
     with open(path, "w") as fh:
         fh.write(f"{rows},{cols},{field}\n")
-        if M.size >= _PARALLEL_MIN_CELLS and hasattr(os, "fork") and _usable_cpus() > 1:
+        if M.size >= _PARALLEL_MIN_CELLS and _can_fork_a_worker():
             _write_halves(path, fh, M, fmt)
         else:
             _write_rows(fh, M, fmt)
@@ -120,41 +127,59 @@ def _write_rows(fh, M, fmt):
 
 def _write_halves(path, fh, M, fmt):
     """Format the first half of ``M`` into ``fh`` while a forked worker
-    formats the second half into a temporary file, then append that file.
+    formats the second half, then append the worker's half.
 
     Both halves go through :func:`_write_rows` and are joined in row order,
     so the bytes equal a serial write.
     """
     half = len(M) // 2
+    _forked(lambda tail: _write_rows(tail, M[half:], fmt), lambda: _write_rows(fh, M[:half], fmt),
+            lambda tail: shutil.copyfileobj(tail, fh),
+            f"{path}: the worker writing rows {half + 1}..{len(M)}")
+
+
+def _forked(work, own, collect, worker):
+    """Run ``work(tail)`` in a forked worker while this process runs
+    ``own()``; then return ``(own(), collect(tail))``.
+
+    ``tail`` is an unlinked temporary text file that only the worker writes;
+    ``collect`` reads it from its start.  The worker leaves through
+    ``os._exit``: 0 when ``work`` returned, 1 when it raised, after printing
+    the traceback to stderr.  So it runs none of the caller's finally blocks
+    or atexit handlers and flushes none of its buffers.  The worker is
+    reaped on every exit path, ``own`` raising included.  Any other exit
+    status raises ChildProcessError "<worker> failed (exit status N)".
+
+    The worker holds only the forking thread, and a lock that another
+    Python thread held at the fork stays held in it; so a ``work`` that
+    takes locks (numpy's random generators have one) may be forked only
+    while no other Python thread is alive.  Python >= 3.12 warns about any
+    fork of a process with threads.  OpenBLAS's threads need no such care:
+    its ``pthread_atfork`` handler stops its thread pool before the fork,
+    and each process starts a new pool at its next BLAS call.
+    """
     with tempfile.TemporaryFile("w+") as tail:
-        # The worker only formats rows and writes the unlinked temporary
-        # file, then leaves through os._exit: it runs no BLAS call, starts
-        # no thread and takes no lock that another thread of this process
-        # (OpenBLAS's, say) could hold at the fork, so the deadlock that
-        # Python >= 3.12 warns about when forking a threaded process cannot
-        # happen here.  os._exit also skips the caller's finally blocks and
-        # atexit handlers and leaves the parent's buffers unflushed.
         pid = os.fork()
         if pid == 0:
             code = 1
             try:
-                _write_rows(tail, M[half:], fmt)
+                work(tail)
                 tail.flush()
                 code = 0
+            except BaseException:  # the worker's boundary: os._exit below ends it
+                traceback.print_exc()
+                sys.stderr.flush()
             finally:
                 os._exit(code)
         try:
-            _write_rows(fh, M[:half], fmt)
+            result = own()
         finally:
             _, status = os.waitpid(pid, 0)
         code = os.waitstatus_to_exitcode(status)
         if code != 0:
-            raise OSError(
-                f"{path}: the worker writing rows {half + 1}..{len(M)} failed "
-                f"(exit status {code})"
-            )
+            raise ChildProcessError(f"{worker} failed (exit status {code})")
         tail.seek(0)
-        shutil.copyfileobj(tail, fh)
+        return result, collect(tail)
 
 
 def _data(line):

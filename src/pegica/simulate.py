@@ -107,21 +107,39 @@ class SourceSpec:
         """Draw ``count`` i.i.d. standardized values."""
         if count < 1:
             raise ValueError("count must be positive")
+        return self.fill(np.empty(count), rng)
+
+    def fill(self, out, rng):
+        """Draw ``len(out)`` i.i.d. standardized values into the contiguous
+        float64 array ``out`` and return it.
+
+        Uniform, exponential and bernoulli values are scaled in place from
+        the generator's own uniform and exponential draws, with the bits of
+        numpy's ``uniform(-sqrt(3), sqrt(3))`` and ``exponential(1.0) - 1.0``
+        and of centering and scaling 0/1 draws.
+        """
         if self.family == "laplace":
-            return rng.laplace(0.0, 1.0 / math.sqrt(2.0), count)
-        if self.family == "uniform":
-            r3 = math.sqrt(3.0)
-            return rng.uniform(-r3, r3, count)
-        if self.family == "exponential":
-            return rng.exponential(1.0, count) - 1.0
-        if self.family == "bernoulli":
+            out[:] = rng.laplace(0.0, 1.0 / math.sqrt(2.0), len(out))
+        elif self.family == "uniform":
+            # uniform(low, high) is low + (high - low) * random()
+            rng.random(out=out)
+            out *= 2.0 * math.sqrt(3.0)
+            out -= math.sqrt(3.0)
+        elif self.family == "exponential":
+            rng.standard_exponential(out=out)
+            out -= 1.0
+        elif self.family == "bernoulli":
             p = self.param
-            draws = (rng.random(count) < p).astype(float)
-            return (draws - p) / math.sqrt(p * (1.0 - p))
-        dof = int(self.param)  # student_t
-        # population variance dof/(dof-2) is finite for dof >= 3,
-        # so exact unit-variance scaling exists even when kappa4 does not
-        return rng.standard_t(dof, count) * math.sqrt((dof - 2.0) / dof)
+            scale = math.sqrt(p * (1.0 - p))
+            hit = rng.random(out=out) < p
+            out.fill(-p / scale)
+            out[hit] = (1.0 - p) / scale
+        else:  # student_t
+            dof = int(self.param)
+            # population variance dof/(dof-2) is finite for dof >= 3,
+            # so exact unit-variance scaling exists even when kappa4 does not
+            np.multiply(rng.standard_t(dof, len(out)), math.sqrt((dof - 2.0) / dof), out=out)
+        return out
 
 
 def source_spec(text) -> SourceSpec:
@@ -203,9 +221,11 @@ def random_mixing(n, m, cond, rng):
 
 
 def check_noise_power(p):
-    """Refuse a noise power that is negative, nan or infinite (ValueError)."""
+    """Return ``p``; refuse a noise power that is negative, nan or infinite
+    (ValueError)."""
     if not 0 <= p < math.inf:
         raise ValueError(f"noise power must be a nonnegative finite number, got {p}")
+    return p
 
 
 def noise_cov(A, p):
@@ -379,7 +399,7 @@ def draw_batch(model: GroundTruthModel, N, seed) -> DrawBatch:
     try:
         rng_s = stream(seed, "sources")
         for row, spec in zip(rows, model.sources):
-            row[:] = spec.sample(N, rng_s)
+            spec.fill(row, rng_s)
     finally:
         if noisy:
             filler.join()

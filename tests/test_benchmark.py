@@ -1,12 +1,21 @@
 """Sweep harness: row contracts, determinism, aggregation, round trips."""
 
 import gc
+import os
+import re
+import subprocess
+import sys
+import tempfile
+import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pegica
 import pegica.benchmark as benchmark
+import pegica.matio as matio
 from pegica import (
     CumulantOracle,
     GroundTruthModel,
@@ -137,19 +146,22 @@ class TestRunBenchmark:
         seeds = {r.seed for r in rows if r.trial != "mean"}
         assert len(seeds) == 1
 
-    def test_each_cell_frees_its_data_before_the_next_draw(self, monkeypatch):
-        # at each draw, how many earlier cells' samples are still alive
-        earlier, alive, draw = [], [], benchmark.draw_batch
+    def test_each_cell_frees_its_data_before_the_next_draw(self, monkeypatch, tmp_path):
+        # at each draw, how many earlier cells' samples are still alive; both
+        # processes of a split sweep append their counts to one file
+        earlier, counts, draw = [], tmp_path / "alive", benchmark.draw_batch
 
         def tracked(*args, **kwargs):
             gc.collect()
-            alive.append(sum(ref() is not None for ref in earlier))
+            with open(counts, "a") as fh:
+                fh.write(f"{sum(ref() is not None for ref in earlier)}\n")
             batch = draw(*args, **kwargs)
             earlier.append(weakref.ref(batch.X))
             return batch
 
         monkeypatch.setattr(benchmark, "draw_batch", tracked)
         run_benchmark(_tiny_config(trials=2, samples=(3000, 4000)))
+        alive = [int(count) for count in counts.read_text().split()]
         assert alive == [0, 0, 0, 0]
 
     def test_csv_round_trip(self, tmp_path):
@@ -214,20 +226,124 @@ class TestRunBenchmark:
             str, int, float, str, str, float, float, float, float, str]
 
 
+class TestTwoProcesses:
+    """An untimed sweep of two or more trials runs its odd trials in a forked
+    worker when two CPUs are free; its rows are those of one process."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        calls, fork = [], os.fork
+
+        def counting_fork():
+            calls.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return calls
+
+    def test_rows_equal_one_process_rows(self, monkeypatch, forks):
+        cfg = _tiny_config(trials=3, samples=(3000, 4000), noise_powers=(0.1, 0.67),
+                           algorithms=("pegi_sinr", "pegi_pinv", "oracle_ainv"))
+        monkeypatch.setattr(matio, "_usable_cpus", lambda: 2)
+        split = run_benchmark(cfg)
+        assert forks == [1]
+        monkeypatch.setattr(matio, "_usable_cpus", lambda: 1)
+        alone = run_benchmark(cfg)
+        assert forks == [1]
+        assert [r.as_csv_cells() for r in split] == [r.as_csv_cells() for r in alone]
+        assert len(alone) == 3 * 2 * 2 * 4  # trial rows and one aggregate per cell
+
+    def test_failing_worker_raises_and_leaves_nothing(self, monkeypatch, tmp_path, capfd):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        monkeypatch.setattr(matio, "_usable_cpus", lambda: 2)
+        run_cell = benchmark._run_cell
+
+        def failing_on_trial_1(*args, **labels):
+            if labels["trial"] == "1":
+                raise RuntimeError("cell failed")
+            return run_cell(*args, **labels)
+
+        monkeypatch.setattr(benchmark, "_run_cell", failing_on_trial_1)
+        with pytest.raises(ChildProcessError, match=re.escape(
+                "the worker running trials 1, 3 failed (exit status 1)")):
+            run_benchmark(_tiny_config(trials=4))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert list(scratch.iterdir()) == []
+        # the worker's traceback
+        assert "RuntimeError: cell failed" in capfd.readouterr().err
+
+    @pytest.mark.parametrize("overrides", [
+        dict(timing=True, trials=2), dict(trials=1)], ids=["timed", "one_trial"])
+    def test_timed_or_one_trial_sweep_never_forks(self, monkeypatch, overrides):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(matio, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        rows = run_benchmark(_tiny_config(**overrides))
+        assert len(rows) == 3 * (overrides["trials"] + 1)
+
+    def test_another_python_thread_keeps_one_process(self, monkeypatch, forks):
+        # a lock another thread holds at a fork stays held in the worker
+        monkeypatch.setattr(matio, "_usable_cpus", lambda: 2)
+        release = threading.Event()
+        waiting = threading.Thread(target=release.wait)
+        waiting.start()
+        try:
+            run_benchmark(_tiny_config(trials=2))
+        finally:
+            release.set()
+            waiting.join(timeout=60)
+        assert not waiting.is_alive()
+        assert forks == []
+
+    def test_worker_runs_after_blas_and_a_threaded_draw(self, monkeypatch, tmp_path):
+        # in a fresh interpreter: OpenBLAS has started its threads and
+        # draw_batch has run its noise thread before the sweep forks
+        code = (
+            "import os\n"
+            "import numpy as np\n"
+            "from pegica import benchmark, draw_batch, make_model, matio\n"
+            "a = np.ones((600, 600))\n"
+            "assert (a @ a)[0, 0] == 600.0\n"
+            "draw_batch(make_model(n=8, noise_power=0.1), 50000, seed=0)\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "matio._usable_cpus = lambda: 2\n"
+            "cfg = benchmark.RunConfig(n=4, m=4, samples=(3000,), noise_powers=(0.1,),\n"
+            "    trials=2, seed=7, panel='finite_k4', timing=False)\n"
+            "benchmark.write_benchmark_csv('split.csv', benchmark.run_benchmark(cfg))\n"
+            "assert forks == [1]\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(pegica.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        monkeypatch.setattr(matio, "_usable_cpus", lambda: 1)
+        alone = run_benchmark(_tiny_config(trials=2))
+        split = read_benchmark_csv(tmp_path / "split.csv")
+        assert [r.as_csv_cells() for r in split] == [r.as_csv_cells() for r in alone]
+
+
 class TestSharedEstimate:
     PEGI = ("pegi_sinr", "pegi_pinv")
 
-    def test_one_estimate_per_cell(self, monkeypatch):
-        calls = []
+    def test_one_estimate_per_cell(self, monkeypatch, tmp_path):
+        # both processes of a split sweep append their calls to one file
+        calls = tmp_path / "calls"
 
         def counting(*args, **kwargs):
-            calls.append(1)
+            with open(calls, "a") as fh:
+                fh.write("1\n")
             return pegi_full(*args, **kwargs)
 
         monkeypatch.setattr(benchmark, "pegi_full", counting)
         cfg = _tiny_config(trials=2, samples=(3000, 4000), algorithms=self.PEGI + ("oracle_ainv",))
         run_benchmark(cfg)
-        assert len(calls) == 4  # trials x samples x noise powers
+        assert len(calls.read_text().split()) == 4  # trials x samples x noise powers
 
     def test_rows_equal_separate_estimates(self):
         shared = run_benchmark(_tiny_config(trials=2, algorithms=self.PEGI))

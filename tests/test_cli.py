@@ -384,9 +384,13 @@ class TestDemix:
 
     @pytest.mark.parametrize("key, value, reason", [
         ("noise_power", "abc", "could not convert string to float"),
+        ("noise_power", "-5", "noise power must be a nonnegative finite number, got -5.0"),
+        ("noise_power", "nan", "noise power must be a nonnegative finite number, got nan"),
+        ("noise_power", "inf", "noise power must be a nonnegative finite number, got inf"),
         ("sources", "cauchy,uniform,exponential,bernoulli(0.5)", "unknown source family"),
         ("sources", "laplace,uniform,exponential", "names 3 sources, but"),
-    ], ids=["noise_power_not_a_number", "unknown_source_family", "too_few_sources"])
+    ], ids=["noise_power_not_a_number", "noise_power_negative", "noise_power_nan",
+            "noise_power_inf", "unknown_source_family", "too_few_sources"])
     def test_model_with_a_bad_value_is_parse_error(self, sim_dir, tmp_path, capsys,
                                                    key, value, reason):
         model = self._damaged_model(sim_dir, tmp_path)
@@ -583,6 +587,21 @@ class TestBlasThreads:
             estimates.append(parse_matrix_csv(out / "A_hat.csv"))
         _, _, angles = match_columns(*estimates)
         assert np.max(angles) <= 1e-3
+
+
+@pytest.mark.parametrize("argv, code", [
+    (lambda d: ["estimate", d / "eight.csv", "--m", 9], 2),
+    (lambda d: ["demix", d / "eight.csv", d / "A_hat.csv", "--model", d / "nonexistent"], 3),
+    (lambda d: ["benchmark", "--noise-power", "-0.1", "--trials", 1], 2),
+    (lambda d: ["report", d / "eight.csv"], 3),
+], ids=["estimate_m_above_dimension", "demix_without_model", "benchmark_negative_power",
+        "report_on_a_matrix_file"])
+def test_refused_command_creates_no_output_directory(tmp_path, rng, argv, code):
+    write_matrix_csv(tmp_path / "eight.csv", rng.standard_normal((500, 8)))
+    write_matrix_csv(tmp_path / "A_hat.csv", np.eye(8))
+    out = tmp_path / "out"
+    assert run_cli(*argv(tmp_path), "--out", out) == code
+    assert not out.exists()
 
 
 class TestOutputDirEnvVar:

@@ -144,10 +144,10 @@ class _BrokenNoise:
 
 class TestNoiseThread:
     def test_source_failure_reraises_and_joins(self, monkeypatch):
-        def broken(self, count, rng):
+        def broken(self, out, rng):
             raise RuntimeError("source stream failed")
 
-        monkeypatch.setattr(simulate.SourceSpec, "sample", broken)
+        monkeypatch.setattr(simulate.SourceSpec, "fill", broken)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="source stream failed"):
             draw_batch(make_model(n=4, noise_power=0.1), 1000, seed=0)

@@ -30,7 +30,34 @@ CLOSED_FORM_K4 = {
 }
 
 
+def numpy_draw(spec, count, rng):
+    """Each family drawn with numpy's distributions, then standardized:
+    the reference that ``SourceSpec.fill``'s in-place draws must equal."""
+    if spec.family == "laplace":
+        return rng.laplace(0.0, 1.0 / np.sqrt(2.0), count)
+    if spec.family == "uniform":
+        return rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), count)
+    if spec.family == "exponential":
+        return rng.exponential(1.0, count) - 1.0
+    if spec.family == "bernoulli":
+        p = spec.param
+        return ((rng.random(count) < p).astype(float) - p) / np.sqrt(p * (1.0 - p))
+    dof = int(spec.param)
+    return rng.standard_t(dof, count) * np.sqrt((dof - 2.0) / dof)
+
+
 class TestSourceSpec:
+    @pytest.mark.parametrize("label", list(CLOSED_FORM_K4) + [
+        "student_t(3)", "bernoulli(0.3)", "student_t(9)"])
+    def test_draws_have_the_bits_of_numpy_draws(self, label):
+        spec, N = source_spec(label), 5001
+        reference = numpy_draw(spec, 2 * N, stream(4, "sources"))
+        assert spec.sample(N, stream(4, "sources")).tobytes() == reference[:N].tobytes()
+        # draw_batch draws each source into its row of one buffer, in turn
+        model = make_model(2, noise_power=0.1, sources=(spec, spec), seed=4)
+        S = draw_batch(model, N, seed=4).S
+        assert S.T.tobytes() == reference.tobytes()
+
     @pytest.mark.parametrize("label", list(CLOSED_FORM_K4) + ["student_t(3)"])
     def test_standardized_at_large_n(self, label):
         # student_t(3) has population variance exactly 1 but an infinite
